@@ -17,12 +17,13 @@ the 10^6-flow regime generates:
   round).  Exercises same-timestamp batch dispatch and the zero-delay
   lane.
 
-Each workload runs under all three queue backends; the benchmark
+Each workload runs on the batch core (``Simulator``) and on the per-event
+oracle (``OracleSimulator``); the benchmark
 
-* verifies serialized decision logs are **equal** across oracle, heap and
-  calendar backends (the dispatch core is a pure optimization, with a
-  deterministic (when, eid) tie-break contract),
-* measures the dispatch-loop speedup of the heap backend over the
+* verifies serialized decision logs are **equal** between the two (the
+  dispatch core is a pure optimization, with a deterministic (when, eid)
+  tie-break contract),
+* measures the dispatch-loop speedup of the batch core over the
   retained oracle (expected >= 3x combined at the full 10^6-event
   scale), and
 * persists a machine-readable record to
@@ -46,7 +47,7 @@ import time
 import numpy as np
 
 from repro.perf import PerfCounters
-from repro.simcore import Simulator
+from repro.simcore import OracleSimulator, Simulator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -60,6 +61,9 @@ NSLOTS = 64     # concurrent pending wakes (one per component/slot)
 CHURN = 8       # arms per fire; CHURN - 1 are superseded before firing
 WAVE_WIDTH = 512   # coincident timers per wave timestamp
 WAVE_DEPTH = 4     # delay-0 chain depth under each completion
+
+#: The batch core and the per-event oracle it is timed against.
+SIMULATORS = {"heap": Simulator, "oracle": OracleSimulator}
 
 
 def _merge_bench_sim(update: dict) -> None:
@@ -83,13 +87,16 @@ def _merge_bench_sim(update: dict) -> None:
 def run_churn(nevents, queue, use_handles, log=None):
     """One churn run; returns (wall_seconds, perf_dict).
 
+    ``queue`` names the simulator: ``"heap"`` (the batch core) or
+    ``"oracle"``.
+
     ``use_handles=True`` is the optimized idiom (one reusable handle per
     slot, superseded in place); ``use_handles=False`` is the oracle-era
     idiom (fresh generation-guarded closure per arm, stale guards reach
     the dispatch loop and return early).
     """
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[queue](perf=perf)
     delays = np.random.default_rng(SEED).uniform(
         0.5, 1.5, size=nevents).tolist()
     gens = [0] * NSLOTS
@@ -147,10 +154,10 @@ def run_wave(nevents, queue, log=None):
     The timed pass uses hoisted per-level callbacks so the measurement is
     dispatcher cost, not benchmark-side closure allocation; the logging
     pass (``log`` given) tags every link of every chain so the serialized
-    order can be compared across backends.
+    order can be compared between the core and the oracle.
     """
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[queue](perf=perf)
     nwaves = max(1, nevents // ((WAVE_DEPTH + 1) * WAVE_WIDTH))
     if log is None:
         # Timed pass: empty leaf callbacks — completeness is checked via
@@ -207,28 +214,29 @@ LOG_EVENTS = 10_000  # equivalence-pass size: plenty of batches and churn
 
 
 def test_scale_sim_backends_dispatch_identically():
-    """Serialized decision logs are equal across all three backends, for
-    both workload shapes — the (when, eid) tie-break contract in action."""
+    """Serialized decision logs are equal on the batch core and the oracle,
+    for both workload shapes — the (when, eid) tie-break contract in
+    action."""
     for workload in ("churn", "wave"):
         logs = {}
-        for queue in ("oracle", "heap", "calendar"):
+        for queue in SIMULATORS:
             logs[queue] = []
             if workload == "churn":
-                # The oracle runs the guard idiom, the optimized backends
-                # the handle idiom: same decisions either way is exactly
-                # the migration-safety claim.
+                # The oracle runs the guard idiom, the batch core the
+                # handle idiom: same decisions either way is exactly the
+                # migration-safety claim.
                 run_churn(LOG_EVENTS, queue, queue != "oracle",
                           log=logs[queue])
             else:
                 run_wave(LOG_EVENTS, queue, log=logs[queue])
         assert logs["oracle"], f"{workload}: empty decision log"
-        assert str(logs["oracle"]) == str(logs["heap"]) == str(
-            logs["calendar"]), f"{workload}: backends diverged"
+        assert str(logs["oracle"]) == str(logs["heap"]), (
+            f"{workload}: batch core diverged from the oracle")
 
 
 def test_scale_sim_dispatch_speedup(report):
     """Batch dispatcher >= 3x the heap oracle at 10^6 events (combined
-    over both workloads), calendar backend competitive with the heap."""
+    over both workloads)."""
     scales = {}
     lines = ["sim dispatch benchmark (cancellable-timer batch core vs "
              "per-event heap oracle)",
@@ -239,10 +247,8 @@ def test_scale_sim_dispatch_speedup(report):
     for nevents in sorted(SCALES):
         churn_o, _ = _timed(run_churn, nevents, "oracle", False)
         churn_h, perf_ch = _timed(run_churn, nevents, "heap", True)
-        churn_c, _ = _timed(run_churn, nevents, "calendar", True)
         wave_o, _ = _timed(run_wave, nevents, "oracle")
         wave_h, perf_wh = _timed(run_wave, nevents, "heap")
-        wave_c, _ = _timed(run_wave, nevents, "calendar")
         heap_wall = churn_h + wave_h
         oracle_wall = churn_o + wave_o
         speedup = oracle_wall / heap_wall if heap_wall > 0 else math.inf
@@ -255,13 +261,11 @@ def test_scale_sim_dispatch_speedup(report):
             "churn": {
                 "oracle_wall": round(churn_o, 4),
                 "heap_wall": round(churn_h, 4),
-                "calendar_wall": round(churn_c, 4),
                 "speedup": round(churn_o / churn_h, 2) if churn_h else None,
             },
             "wave": {
                 "oracle_wall": round(wave_o, 4),
                 "heap_wall": round(wave_h, 4),
-                "calendar_wall": round(wave_c, 4),
                 "speedup": round(wave_o / wave_h, 2) if wave_h else None,
             },
             "oracle_wall": round(oracle_wall, 4),
@@ -279,8 +283,7 @@ def test_scale_sim_dispatch_speedup(report):
             f"churn {churn_o:6.3f}s -> {churn_h:6.3f}s "
             f"({churn_o / churn_h:4.2f}x), "
             f"wave {wave_o:6.3f}s -> {wave_h:6.3f}s "
-            f"({wave_o / wave_h:4.2f}x), combined {speedup:4.2f}x "
-            f"(calendar: churn {churn_c:.3f}s, wave {wave_c:.3f}s)")
+            f"({wave_o / wave_h:4.2f}x), combined {speedup:4.2f}x")
     lines.append("  floor: "
                  + ("3x combined at largest scale" if full_scale
                     else "none — reduced config"))

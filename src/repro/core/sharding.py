@@ -147,15 +147,6 @@ class ShardRouter:
         capacity ships with the worker).  Inline mode is the
         cross-checked oracle: process mode produces bit-identical merged
         decision logs on the committed scenarios.
-    span_delay:
-        Cross-shard DELAY negotiation.  ``"requeue"`` (default) releases
-        every already-held shard when a later shard in the engagement
-        order answers with a DELAY hold, waits out the hold, and
-        re-acquires the full chain in ascending order (no capacity is
-        pinned idle; the ordered-resource deadlock argument is
-        re-entered from scratch each attempt).  ``"hold"`` keeps the
-        historical behavior of sitting on the granted prefix.  The two
-        are decision-log-equivalent whenever strategies never DELAY.
     codec:
         Wire codec for the worker-process data plane (``"json"`` or
         ``"binary"``); ``None`` defers to ``REPRO_WIRE_CODEC`` (JSON when
@@ -165,22 +156,17 @@ class ShardRouter:
     def __init__(self, sim: Simulator, nshards: int, strategy,
                  grant_latency: float = 0.0, batched: bool = True,
                  decision_log_limit: Optional[int] = None, perf=None,
-                 workers: str = "inline", span_delay: str = "requeue",
-                 codec: Optional[str] = None):
+                 workers: str = "inline", codec: Optional[str] = None):
         if nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {nshards}")
         if workers not in ("inline", "process"):
             raise ValueError(f"workers must be 'inline' or 'process', "
                              f"got {workers!r}")
-        if span_delay not in ("requeue", "hold"):
-            raise ValueError(f"span_delay must be 'requeue' or 'hold', "
-                             f"got {span_delay!r}")
         self.sim = sim
         self.nshards = int(nshards)
         self.batched = bool(batched)
         self.perf = perf
         self.workers = workers
-        self.span_delay = span_delay
         is_instance = isinstance(strategy, Strategy)
 
         def _strat() -> Strategy:
@@ -426,15 +412,14 @@ class ShardRouter:
         on the span's authorization event, which fires when the full
         chain is held).
 
-        DELAY negotiation (``span_delay="requeue"``): when a *later*
-        shard in the chain answers with a DELAY hold while earlier
-        shards are already granted, holding that prefix would pin their
-        capacity idle for the whole hold.  Instead the chain retreats —
-        withdraws from every engaged shard — waits out the hold, and
-        re-acquires the full chain in ascending order.  Each attempt
-        acquires in the same global order, so deadlock-freedom is
-        preserved; a DELAY on the *first* shard holds nothing and simply
-        waits, as does ``span_delay="hold"`` mode.
+        DELAY negotiation: when a *later* shard in the chain answers with
+        a DELAY hold while earlier shards are already granted, holding
+        that prefix would pin their capacity idle for the whole hold.
+        Instead the chain retreats — withdraws from every engaged shard —
+        waits out the hold, and re-acquires the full chain in ascending
+        order.  Each attempt acquires in the same global order, so
+        deadlock-freedom is preserved; a DELAY on the *first* shard holds
+        nothing and simply waits.
         """
         app = span.app
         while True:
@@ -453,7 +438,7 @@ class ShardRouter:
                 if not ok:
                     if not result.triggered:
                         result.succeed(False)
-                    if self.span_delay == "requeue" and len(span.engaged) > 1:
+                    if len(span.engaged) > 1:
                         dec = arb.last_decision_for(app)
                         if (dec is not None and dec[0] is Action.DELAY
                                 and dec[1] > 0.0):

@@ -1,13 +1,11 @@
 """Experiment harness: declarative specs, pluggable engines, Δ-graphs.
 
 The declarative API (:class:`ExperimentSpec` + :class:`ExperimentEngine`)
-is the canonical path: describe a campaign as data, run it through a
-serial or process-parallel executor, and get a uniform :class:`ResultSet`.
-The old free functions (``run_pair``, ``run_many``, ``run_delta_graph``,
-the sweep helpers) remain as thin shims over the default engine.
+is the one path: describe a campaign as data, run it through a serial or
+process-parallel executor, and get a uniform :class:`ResultSet`.
 """
 
-from .deltagraph import DeltaGraph, run_delta_graph
+from .deltagraph import DeltaGraph
 from .engine import (
     BaselineCache, Executor, ExperimentEngine, ExperimentResult,
     ParallelExecutor, ResultSet, SerialExecutor, clear_baseline_cache,
@@ -21,12 +19,12 @@ from .interference import (
     cpu_seconds_wasted, efficiency_summary, interference_factor,
     sum_interference_factors,
 )
-from .multi import MultiResult, run_many
+from .multi import MultiResult
 from .replay import (
     ReplayPlan, plan_replay, replay_result, replay_spec, replay_trace,
 )
 from .reporting import banner, format_series, format_table, sparkline
-from .runner import AppRecord, PairResult, run_pair, run_single, standalone_time
+from .runner import AppRecord, PairResult, run_single
 from .scenarios import (
     Scenario, build_scenario, get_scenario, list_scenarios,
     register_scenario,
@@ -35,7 +33,7 @@ from .spec import (
     ExperimentSpec, WorkloadSpec, pattern_from_dict, pattern_to_dict,
     platform_from_dict, platform_to_dict,
 )
-from .sweeps import size_split_sweep, split_pairs, strategy_comparison
+from .sweeps import split_pairs
 
 __all__ = [
     # declarative API
@@ -49,17 +47,17 @@ __all__ = [
     "Scenario", "register_scenario", "get_scenario", "build_scenario",
     "list_scenarios",
     # Δ-graphs and analytics
-    "DeltaGraph", "run_delta_graph",
+    "DeltaGraph",
     "TwoFlowModel", "expected_pair_times", "expected_delta_curve",
     "interference_factor", "sum_interference_factors", "cpu_seconds_wasted",
     "efficiency_summary",
-    # legacy entry points
-    "AppRecord", "PairResult", "run_single", "run_pair", "standalone_time",
-    "MultiResult", "run_many", "ReplayPlan", "plan_replay", "replay_spec",
+    # result records and replay
+    "AppRecord", "PairResult", "run_single",
+    "MultiResult", "ReplayPlan", "plan_replay", "replay_spec",
     "replay_result", "replay_trace",
     # export and reporting
     "delta_graph_csv", "multi_result_csv", "result_set_csv",
     "result_set_json",
-    "split_pairs", "size_split_sweep", "strategy_comparison",
+    "split_pairs",
     "format_table", "format_series", "sparkline", "banner",
 ]

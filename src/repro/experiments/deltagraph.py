@@ -5,23 +5,23 @@ starts at a date t = dt, and we measure the performance of A and B.  A set
 of experiments with different values of dt allows us to plot the measured
 performance as a function of dt."
 
-:func:`run_delta_graph` sweeps dt for a pair of workloads under one
-coordination setup and returns the full series — write times, interference
-factors, and (optionally) the analytic expected curve.
+:meth:`ExperimentEngine.delta_graph
+<repro.experiments.engine.ExperimentEngine.delta_graph>` sweeps dt for a
+pair of workloads under one coordination setup and returns a
+:class:`DeltaGraph`: the full series — write times, interference factors,
+and (optionally) the analytic expected curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from ..apps import IORConfig
-from ..platforms import PlatformConfig
 from .runner import PairResult
 
-__all__ = ["DeltaGraph", "run_delta_graph"]
+__all__ = ["DeltaGraph"]
 
 
 @dataclass
@@ -54,21 +54,3 @@ class DeltaGraph:
         """(dt, T_A, T_B, I_A, I_B) tuples, for table printing."""
         return list(zip(self.dts, self.t_a, self.t_b,
                         self.interference_a, self.interference_b))
-
-
-def run_delta_graph(platform_cfg: PlatformConfig, cfg_a: IORConfig,
-                    cfg_b: IORConfig, dts: Sequence[float],
-                    strategy: Optional[str] = None,
-                    with_expected: bool = False) -> DeltaGraph:
-    """Sweep ``dts`` for (A, B) under ``strategy`` (None = uncoordinated).
-
-    .. deprecated:: use ``ExperimentEngine.delta_graph`` — it shares the
-        standalone baselines through the engine's cache and can fan the
-        independent per-dt simulations out across processes.
-    """
-    from .engine import default_engine
-    from .runner import _deprecated
-    _deprecated("run_delta_graph()", "ExperimentEngine.delta_graph()")
-    return default_engine().delta_graph(platform_cfg, cfg_a, cfg_b, dts,
-                                        strategy=strategy,
-                                        with_expected=with_expected)

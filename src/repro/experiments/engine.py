@@ -523,14 +523,14 @@ class ExperimentEngine:
 
 
 # ---------------------------------------------------------------------------
-# Default engine (backs the legacy free-function API)
+# Default engine (backs the trace-replay helpers)
 # ---------------------------------------------------------------------------
 
 _default_engine: Optional[ExperimentEngine] = None
 
 
 def default_engine() -> ExperimentEngine:
-    """The process-wide engine behind ``run_pair``/``run_many``/etc. shims."""
+    """The process-wide engine behind ``replay_trace``/``replay_result``."""
     global _default_engine
     if _default_engine is None:
         _default_engine = ExperimentEngine()

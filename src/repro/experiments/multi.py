@@ -3,27 +3,21 @@
 §III-A: "these strategies naturally extend to more than two applications.
 The adaptive strategy would then consist in either choosing a place in a
 queue of applications that have requested access to the system, or
-interrupting the one currently accessing it."  :class:`MultiResult` is the
-legacy N-application result shape; :func:`run_many` is now a thin shim
-over the declarative engine — build an
-:class:`~repro.experiments.spec.ExperimentSpec` with N workloads and run
-it through an :class:`~repro.experiments.engine.ExperimentEngine` for the
-uniform :class:`~repro.experiments.engine.ResultSet` path.
+interrupting the one currently accessing it."  Such an experiment is an
+:class:`~repro.experiments.spec.ExperimentSpec` with N workloads;
+:class:`MultiResult` is its N-application result shape
+(``ExperimentResult.as_multi()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..apps import IORConfig
 from ..core import DecisionRecord
-from ..platforms import PlatformConfig
-from .engine import default_engine
-from .runner import AppRecord, _deprecated
-from .spec import ExperimentSpec
+from .runner import AppRecord
 
-__all__ = ["MultiResult", "run_many"]
+__all__ = ["MultiResult"]
 
 
 @dataclass
@@ -49,21 +43,3 @@ class MultiResult:
 
     def sum_interference_factors(self) -> float:
         return sum(self.interference_factors().values())
-
-
-def run_many(platform_cfg: PlatformConfig, configs: Sequence[IORConfig],
-             strategy: Optional[str] = None,
-             measure_alone: bool = True) -> MultiResult:
-    """Run every workload in ``configs`` together on a fresh platform.
-
-    .. deprecated:: use ``ExperimentEngine.run(ExperimentSpec(...))``.
-
-    Start offsets come from each config's ``start_time``.  With a strategy,
-    every application gets a CALCioM session under one shared runtime (and
-    arbiter), exactly as on a production machine.
-    """
-    _deprecated("run_many()",
-                "ExperimentEngine.run(ExperimentSpec(...)).as_multi()")
-    spec = ExperimentSpec(platform=platform_cfg, workloads=tuple(configs),
-                          strategy=strategy, measure_alone=measure_alone)
-    return default_engine().run(spec).as_multi()

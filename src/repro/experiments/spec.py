@@ -206,9 +206,7 @@ class ExperimentSpec:
     decision log for scale scenarios, ``{"shards": 8, "workers":
     "process"}`` runs each arbiter shard in its own worker process —
     the engine closes the worker pool on both the clean and the error
-    path — and ``{"span_delay": "hold"}`` retains the historical
-    pin-the-prefix cross-shard DELAY behavior).  Ignored when
-    ``strategy`` is None.
+    path).  Ignored when ``strategy`` is None.
     """
 
     platform: PlatformConfig

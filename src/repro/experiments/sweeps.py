@@ -1,21 +1,18 @@
-"""Parameter-sweep helpers shared by Fig 4/6/9 benchmarks.
+"""Parameter-sweep helper shared by Fig 4/6/9 benchmarks.
 
-:func:`split_pairs` is the pure helper; the sweep runners are thin shims
-over :class:`~repro.experiments.engine.ExperimentEngine`, which runs the
-whole campaign through one executor fan-out (and one baseline cache).
+:func:`split_pairs` is the pure helper; the sweep runners are
+:meth:`ExperimentEngine.size_split_sweep
+<repro.experiments.engine.ExperimentEngine.size_split_sweep>` and
+:meth:`~repro.experiments.engine.ExperimentEngine.strategy_comparison`,
+which run a whole campaign through one executor fan-out (and one baseline
+cache).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..apps import IORConfig
-from ..platforms import PlatformConfig
-from .deltagraph import DeltaGraph
-from .engine import default_engine
-from .runner import PairResult, _deprecated
-
-__all__ = ["split_pairs", "size_split_sweep", "strategy_comparison"]
+__all__ = ["split_pairs"]
 
 
 def split_pairs(total_cores: int, sizes_b: Sequence[int]
@@ -31,32 +28,3 @@ def split_pairs(total_cores: int, sizes_b: Sequence[int]
             raise ValueError(f"invalid split: B={nb} of {total_cores}")
         pairs.append((total_cores - nb, nb))
     return pairs
-
-
-def size_split_sweep(platform_cfg: PlatformConfig, base_a: IORConfig,
-                     base_b: IORConfig, total_cores: int,
-                     sizes_b: Sequence[int], dts: Sequence[float],
-                     strategy: Optional[str] = None) -> Dict[int, DeltaGraph]:
-    """One Δ-graph per (N_A, N_B) split — the full Fig 6 experiment.
-
-    .. deprecated:: use ``ExperimentEngine.size_split_sweep``.
-    """
-    _deprecated("size_split_sweep()", "ExperimentEngine.size_split_sweep()")
-    return default_engine().size_split_sweep(
-        platform_cfg, base_a, base_b, total_cores, sizes_b, dts,
-        strategy=strategy)
-
-
-def strategy_comparison(platform_cfg: PlatformConfig, cfg_a: IORConfig,
-                        cfg_b: IORConfig, dt: float,
-                        strategies: Sequence[Optional[str]] = (
-                            None, "fcfs", "interrupt", "dynamic",
-                        )) -> Dict[Optional[str], PairResult]:
-    """The same pair under each coordination strategy (Fig 9/11 columns).
-
-    .. deprecated:: use ``ExperimentEngine.strategy_comparison``.
-    """
-    _deprecated("strategy_comparison()",
-                "ExperimentEngine.strategy_comparison()")
-    return default_engine().strategy_comparison(platform_cfg, cfg_a, cfg_b,
-                                                dt, strategies=strategies)

@@ -84,12 +84,6 @@ class PlatformConfig:
     #: oracle that re-prices every flow on every change; identical rates,
     #: slower).
     allocator: str = "incremental"
-    #: Fill-cache cutover for the ``"incremental"`` allocator: ``None``
-    #: (default) learns it per component from observed replay hit rates;
-    #: an ``int`` pins the historical fixed flow-count threshold (``8``
-    #: reproduces the pre-adaptive behaviour).  Rates are bit-identical
-    #: under any setting — the policy only picks how refills compute.
-    fill_cache_min_flows: Optional[int] = None
     #: File-system partitions: the ``nservers`` data servers are split into
     #: this many disjoint groups, each running its own
     #: :class:`~repro.storage.ParallelFileSystem` (sizes as even as
@@ -98,12 +92,6 @@ class PlatformConfig:
     #: Partitions are what arbiter shards own — see
     #: :mod:`repro.core.sharding`.
     npartitions: int = 1
-    #: Simulator queue backend: ``None`` (default) defers to the
-    #: ``REPRO_SIM_QUEUE`` environment variable (itself defaulting to
-    #: ``"heap"``); ``"heap"``, ``"calendar"`` or ``"oracle"`` pin one.
-    #: All backends dispatch in the same (time, insertion id) order, so
-    #: results are bit-identical — this is purely a performance knob.
-    sim_queue: Optional[str] = None
     description: str = ""
 
     @property
@@ -166,7 +154,7 @@ class Platform:
                 f"nservers ({config.nservers})")
         self.config = config
         self.perf = PerfCounters()
-        self.sim = Simulator(perf=self.perf, queue=config.sim_queue)
+        self.sim = Simulator(perf=self.perf)
         self.net = FlowNetwork(
             self.sim,
             incremental=(config.allocator != "global"),
@@ -174,7 +162,6 @@ class Platform:
             fill_cache=(config.allocator == "incremental"),
             heap_pool=(config.allocator == "incremental"),
             vectorized=(config.allocator == "vectorized"),
-            fill_cache_min_flows=config.fill_cache_min_flows,
         )
         self.fabric = Fabric(self.sim, self.net, latency=config.latency)
         self.fabric.add_switch("switch")

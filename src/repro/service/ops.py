@@ -13,8 +13,10 @@ because the repo takes no dependencies:
 ``GET /metrics``
     Prometheus text exposition of the daemon's
     :class:`~repro.perf.PerfCounters` (coordination counters, simulator
-    counters, ``service_*`` accounting) plus live gauges.  Counter names
-    pass through unchanged — they are already ``snake_case``.
+    counters, ``service_*`` accounting), typed ``counter`` since they only
+    grow, plus the live values (sessions, connections, pending entries,
+    draining) typed ``gauge``.  Names pass through unchanged — they are
+    already ``snake_case``.
 
 ``POST /drain``
     Triggers a graceful drain (idempotent); responds immediately with
@@ -40,11 +42,13 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 
 def render_metrics(service: "CoordinationService") -> str:
     """The daemon's counters in Prometheus text exposition format."""
+    counters = service.perf.as_dict()
     lines = []
     for name, value in sorted(service.metrics_snapshot().items()):
         if not isinstance(value, numbers.Real):  # pragma: no cover - guard
             continue
-        lines.append(f"# TYPE {name} gauge")
+        kind = "counter" if name in counters else "gauge"
+        lines.append(f"# TYPE {name} {kind}")
         lines.append(f"{name} {float(value):g}")
     return "\n".join(lines) + "\n"
 

@@ -6,18 +6,18 @@ the piece everything else leans on — a fluid-flow weighted max-min bandwidth
 allocator (:mod:`repro.simcore.fairshare`).
 """
 
-from .calqueue import CalendarQueue
 from .engine import Simulator, Timer
 from .errors import Interrupt, SimulationError
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .fairshare import FluidFlow, FluidLink, FlowNetwork
 from .monitor import TimeSeries
+from .oracle import OracleSimulator
 from .process import Process
 from .resources import Request, Resource, Store
 from .rng import ensure_rng, substream
 
 __all__ = [
-    "Simulator", "Timer", "CalendarQueue",
+    "Simulator", "Timer", "OracleSimulator",
     "Event", "Timeout", "Condition", "AllOf", "AnyOf",
     "Process", "Interrupt", "SimulationError",
     "Resource", "Request", "Store",

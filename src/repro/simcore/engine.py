@@ -8,7 +8,7 @@ approximate by reserving entire machines.
 
 Dispatch architecture
 ---------------------
-The core is built around three throughput levers, all invisible to model
+The core is built around two throughput levers, both invisible to model
 code:
 
 * **Cancellable timers.** :meth:`Simulator.call_at` returns a slotted
@@ -23,31 +23,27 @@ code:
   and a FIFO "lane" for events scheduled at the current timestamp *during*
   the batch (delay-0 completions, coordination rounds) so coincident waves
   never re-enter the heap.
-* **Pluggable queue backends.** ``Simulator(queue="heap")`` (default) keeps
-  the binary heap; ``queue="calendar"`` swaps in the bucketed
-  :class:`~repro.simcore.calqueue.CalendarQueue` for timer-heavy regimes;
-  ``queue="oracle"`` preserves the original one-event-per-pop dispatch loop
-  as a cross-checked baseline.  All three consume insertion ids from the
-  same counter and dispatch in identical ``(time, insertion id)`` order, so
-  decision logs and finish times are bit-equal across backends.
+
+The queue is one binary heap of ``(time, insertion id, obj)`` entries.
+:class:`~repro.simcore.oracle.OracleSimulator` keeps the original
+one-event-per-pop dispatch loop as the cross-checked baseline: it consumes
+insertion ids from the same counter and dispatches in the same
+``(time, insertion id)`` order, so decision logs and finish times are
+bit-equal to this engine's.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from itertools import count
 from typing import Any, Callable, Generator, Optional
 
-from .calqueue import CalendarQueue
 from .errors import SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "Timer"]
-
-_QUEUE_BACKENDS = ("heap", "calendar", "oracle")
 
 #: Sweep dead entries once at least this many are queued *and* they
 #: outnumber the live population (amortized O(1) per cancellation).  The
@@ -133,7 +129,7 @@ class Timer:
         and counted as cancelled), already fired (the handle is re-armed)
         or cancelled.  Exactly one insertion id is consumed — the same as
         the ``cancel()`` + ``call_at()`` sequence it replaces — so
-        backends stay dispatch-order identical.
+        dispatch order stays identical to the oracle's.
 
         Reschedules issued *during a batch* defer the queue push to the
         end of the batch: supersede-heavy call sites routinely move the
@@ -171,8 +167,6 @@ class Timer:
             elif not self._pending:
                 self._pending = True
                 sim._deferred.append(self)
-        elif sim._cal is not None:
-            sim._cal.push((when, eid, self))
         else:
             heapq.heappush(sim._queue, (when, eid, self))
         return self
@@ -181,56 +175,6 @@ class Timer:
         state = ("pending" if self._eid >= 0
                  else "cancelled" if self._eid == _CANCELLED else "fired")
         return f"<Timer t={self.when:.6g} {state}>"
-
-
-class _EventTimer:
-    """``call_at`` handle for the oracle backend: wraps the full Event.
-
-    Presents the same ``cancel()``/``active`` surface as :class:`Timer`
-    so call sites are backend-agnostic; the underlying event is deadmarked
-    through the simulator's cancelled-event set.
-    """
-
-    __slots__ = ("sim", "when", "event", "_fn")
-
-    def __init__(self, sim: "Simulator", when: float, event: Event,
-                 fn: Callable[[], None]):
-        self.sim = sim
-        self.when = when
-        self.event = event
-        self._fn = fn
-
-    @property
-    def cancelled(self) -> bool:
-        return self.event in self.sim._cancelled_events
-
-    @property
-    def active(self) -> bool:
-        return not self.event.processed and not self.cancelled
-
-    def cancel(self) -> bool:
-        return self.sim._cancel_event(self.event)
-
-    def reschedule(self, when: float) -> "_EventTimer":
-        sim = self.sim
-        now = sim._now
-        if when < now:
-            raise SimulationError(
-                f"reschedule({when}) is in the past (now={now})"
-            )
-        sim._cancel_event(self.event)  # no-op if it already fired
-        ev = Event(sim)
-        ev._ok = True
-        ev._value = None
-        sim._schedule(ev, when - now)
-        fn = self._fn
-        ev.callbacks.append(lambda _ev: fn())
-        self.event = ev
-        self.when = when
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EventTimer t={self.when:.6g}>"
 
 
 class Simulator:
@@ -244,11 +188,6 @@ class Simulator:
         Optional :class:`~repro.perf.PerfCounters`; when set, dispatch
         bumps ``events_processed`` (plus ``events_coincident``,
         ``timer_fastpath_hits`` and ``timers_cancelled``).
-    queue:
-        Queue backend — ``"heap"`` (default), ``"calendar"`` or
-        ``"oracle"``.  ``None`` reads the ``REPRO_SIM_QUEUE`` environment
-        variable (defaulting to ``"heap"``), which is how experiment
-        drivers flip the whole platform onto the calendar backend.
 
     Examples
     --------
@@ -262,23 +201,9 @@ class Simulator:
     3.0
     """
 
-    def __init__(self, start_time: float = 0.0, perf=None,
-                 queue: Optional[str] = None):
-        if queue is None:
-            queue = os.environ.get("REPRO_SIM_QUEUE", "heap") or "heap"
-        if queue not in _QUEUE_BACKENDS:
-            raise SimulationError(
-                f"unknown queue backend {queue!r}; pick one of "
-                f"{_QUEUE_BACKENDS}"
-            )
-        #: Which queue backend this simulator dispatches from.
-        self.queue_backend = queue
+    def __init__(self, start_time: float = 0.0, perf=None):
         self._now = float(start_time)
         self._queue: list = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if queue == "calendar" else None
-        )
-        self._oracle = queue == "oracle"
         self._eid = count()
         #: FIFO of (eid, obj) scheduled at the current batch timestamp
         #: while a batch is dispatching; merged with the queue by eid.
@@ -345,8 +270,6 @@ class Simulator:
             )
         if delay == 0.0 and self._batching:
             self._lane.append((next(self._eid), event))
-        elif self._cal is not None:
-            self._cal.push((self._now + delay, next(self._eid), event))
         else:
             heapq.heappush(self._queue, (self._now + delay, next(self._eid), event))
 
@@ -356,21 +279,13 @@ class Simulator:
         Returns a :class:`Timer` handle; call its ``cancel()`` to stop the
         timer from firing (the queue entry is deadmarked and skipped, so a
         cancelled timer costs nothing at dispatch time — no generation
-        counter needed).  On the oracle backend the handle wraps a full
-        event but presents the same ``cancel()``/``active`` surface.
+        counter needed).
         """
         now = self._now
         if when < now:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={now})"
             )
-        if self._oracle:
-            ev = Event(self)
-            ev._ok = True
-            ev._value = None
-            self._schedule(ev, when - now)
-            ev.callbacks.append(lambda _ev: fn())
-            return _EventTimer(self, when, ev, fn)
         # Inline construction: call_at is the hottest allocation site in
         # timer-churn regimes, and skipping the __init__ frame is worth it.
         timer = Timer.__new__(Timer)
@@ -382,8 +297,6 @@ class Simulator:
         timer._eid = eid
         if when == now and self._batching:
             self._lane.append((eid, timer))
-        elif self._cal is not None:
-            self._cal.push((when, eid, timer))
         else:
             heapq.heappush(self._queue, (when, eid, timer))
         return timer
@@ -406,21 +319,6 @@ class Simulator:
         if dead < _COMPACT_MIN_DEAD:
             return
         cancelled = self._cancelled_events
-        if self._cal is not None:
-            if dead * 2 > len(self._cal):
-                def _is_dead(entry, cancelled=cancelled):
-                    obj = entry[2]
-                    if type(obj) is Timer:
-                        return obj._eid != entry[1]
-                    if obj in cancelled:
-                        cancelled.discard(obj)
-                        return True
-                    return False
-                removed = self._cal.compact(_is_dead)
-                self._dead -= removed
-                if removed and self.perf is not None:
-                    self.perf.bump("timers_cancelled", removed)
-            return
         queue = self._queue
         if dead * 2 <= len(queue):
             return
@@ -453,15 +351,11 @@ class Simulator:
         retired by :meth:`Timer.reschedule` / :meth:`Timer.cancel`.
         """
         deferred = self._deferred
-        cal = self._cal
         queue = self._queue
         for t in deferred:
             if t._pending:
                 t._pending = False
-                if cal is not None:
-                    cal.push((t.when, t._eid, t))
-                else:
-                    heapq.heappush(queue, (t.when, t._eid, t))
+                heapq.heappush(queue, (t.when, t._eid, t))
         del deferred[:]
 
     # -- execution ----------------------------------------------------------------
@@ -469,32 +363,13 @@ class Simulator:
         """Time of the next *live* event, or ``inf`` if none is queued.
 
         Deadmarked (cancelled) heads are discarded on the way — the clock
-        never advances for a cancelled entry on any backend.
+        never advances for a cancelled entry.
         """
         if self._deferred:
             self._flush_deferred()
         cancelled = self._cancelled_events
         dead = 0
         try:
-            if self._cal is not None:
-                cal = self._cal
-                while True:
-                    entry = cal.min_entry()
-                    if entry is None:
-                        return math.inf
-                    obj = entry[2]
-                    if type(obj) is Timer:
-                        if obj._eid == entry[1]:
-                            return entry[0]
-                    elif obj in cancelled:
-                        cal.pop_min()
-                        cancelled.discard(obj)
-                        dead += 1
-                        continue
-                    else:
-                        return entry[0]
-                    cal.pop_min()
-                    dead += 1
             queue = self._queue
             while queue:
                 head = queue[0]
@@ -525,52 +400,17 @@ class Simulator:
         pass — one clock write, one ``events_processed`` bump of ``n`` —
         in ``(time, insertion id)`` order.  Events scheduled *at the batch
         timestamp* from inside a callback (delay-0 completions) join the
-        same batch through a FIFO lane without re-entering the queue.  On
-        the oracle backend this processes exactly one event, preserving
-        the original dispatch loop as a cross-checked baseline.
+        same batch through a FIFO lane without re-entering the queue.
         """
-        if self._oracle:
-            self._step_oracle()
-            return
-        # The internal batch dispatchers return quietly on an empty queue
-        # (that lets run() drive them in a tight loop); the public single
-        # step keeps the loud contract.
+        # The internal dispatcher returns quietly on an empty queue (that
+        # lets run() drive it in a tight loop); the public single step
+        # keeps the loud contract.
         if self.peek() == math.inf:
             raise SimulationError("step() on an empty event queue")
-        if self._cal is not None:
-            self._step_calendar()
-        else:
-            self._step_heap()
+        self._dispatch()
 
-    def _step_oracle(self) -> None:
-        # The seed dispatch loop: one pop, one event, per-event perf bump.
-        cancelled = self._cancelled_events
-        dead = 0
-        while True:
-            try:
-                when, _, event = heapq.heappop(self._queue)
-            except IndexError:
-                raise SimulationError("step() on an empty event queue") from None
-            if cancelled and event in cancelled:
-                cancelled.discard(event)
-                dead += 1
-                continue
-            break
-        self._now = when
-        if dead:
-            self._dead -= dead
-        if self.perf is not None:
-            if dead:
-                self.perf.bump("timers_cancelled", dead)
-            self.perf.bump("events_processed")
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            # A failure nobody handled: abort the run loudly.
-            raise event._value
-
-    def _step_heap(self) -> None:
+    def _dispatch(self) -> None:
+        """Drain the batch at the head timestamp; quiet on an empty queue."""
         queue = self._queue
         pop = heapq.heappop
         cancelled = self._cancelled_events
@@ -662,99 +502,6 @@ class Simulator:
                     if fast:
                         perf.bump("timer_fastpath_hits", fast)
 
-    def _step_calendar(self) -> None:
-        cal = self._cal
-        cancelled = self._cancelled_events
-        dead = 0
-        while True:
-            entry = cal.pop_min()
-            if entry is None:
-                if dead:
-                    self._dead -= dead
-                    if self.perf is not None:
-                        self.perf.bump("timers_cancelled", dead)
-                return
-            obj = entry[2]
-            eid = entry[1]
-            if type(obj) is Timer:
-                if obj._eid != eid:
-                    dead += 1
-                    continue
-            elif cancelled and obj in cancelled:
-                cancelled.discard(obj)
-                dead += 1
-                continue
-            break
-        when = entry[0]
-        self._now = when
-        lane = self._lane
-        li = 0
-        n = 0
-        fast = 0
-        fired = _FIRED
-        head = cal.min_entry()
-        head_at_when = head is not None and head[0] == when
-        head_eid = head[1] if head_at_when else -1
-        self._batching = True
-        try:
-            while True:
-                if type(obj) is Timer:
-                    if obj._eid != eid:
-                        dead += 1
-                    else:
-                        obj._eid = fired
-                        n += 1
-                        fast += 1
-                        obj._fn()
-                elif cancelled and obj in cancelled:
-                    cancelled.discard(obj)
-                    dead += 1
-                else:
-                    n += 1
-                    callbacks, obj.callbacks = obj.callbacks, None
-                    for cb in callbacks:
-                        cb(obj)
-                    if not obj._ok and not obj._defused:
-                        raise obj._value
-                if li < len(lane):
-                    if head_at_when and head_eid < lane[li][0]:
-                        _, eid, obj = cal.pop_min()
-                        head = cal.min_entry()
-                        head_at_when = head is not None and head[0] == when
-                        head_eid = head[1] if head_at_when else -1
-                    else:
-                        eid, obj = lane[li]
-                        li += 1
-                elif head_at_when:
-                    _, eid, obj = cal.pop_min()
-                    head = cal.min_entry()
-                    head_at_when = head is not None and head[0] == when
-                    head_eid = head[1] if head_at_when else -1
-                else:
-                    break
-        finally:
-            self._batching = False
-            if self._deferred:
-                self._flush_deferred()
-            if dead:
-                self._dead -= dead
-            if li:
-                del lane[:li]
-            if lane:
-                for leid, lobj in lane:
-                    cal.push((when, leid, lobj))
-                del lane[:]
-            perf = self.perf
-            if perf is not None:
-                if dead:
-                    perf.bump("timers_cancelled", dead)
-                if n:
-                    perf.bump("events_processed", n)
-                    if n > 1:
-                        perf.bump("events_coincident", n - 1)
-                    if fast:
-                        perf.bump("timer_fastpath_hits", fast)
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
@@ -791,33 +538,22 @@ class Simulator:
             stop_event = None
 
         try:
-            if stop_at == math.inf and not self._oracle:
-                # Tight drive: the batch dispatchers return quietly when
-                # the queue empties, so the loop needs no per-batch
+            queue = self._queue
+            dispatch = self._dispatch
+            if stop_at == math.inf:
+                # Tight drive: the dispatcher returns quietly when the
+                # queue empties, so the loop needs no per-batch
                 # peek()/step() indirection.
-                if self._cal is not None:
-                    cal = self._cal
-                    dispatch = self._step_calendar
-                    while len(cal):
-                        dispatch()
-                else:
-                    queue = self._queue
-                    dispatch = self._step_heap
-                    while queue:
-                        dispatch()
+                while queue:
+                    dispatch()
             else:
                 while True:
                     t = self.peek()
                     if t == math.inf or t > stop_at:
                         break
-                    # peek() already discarded dead heads, so the internal
-                    # dispatchers can be driven directly.
-                    if self._oracle:
-                        self._step_oracle()
-                    elif self._cal is not None:
-                        self._step_calendar()
-                    else:
-                        self._step_heap()
+                    # peek() already discarded dead heads, so the
+                    # dispatcher can be driven directly.
+                    dispatch()
         except StopSimulation as stop:
             ev = stop.value
             if not ev._ok:
@@ -833,7 +569,5 @@ class Simulator:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        queued = len(self._cal) if self._cal is not None else len(self._queue)
-        queued += len(self._lane)
-        return (f"<Simulator t={self._now:.6g} queued={queued} "
-                f"backend={self.queue_backend}>")
+        queued = len(self._queue) + len(self._lane)
+        return f"<{type(self).__name__} t={self._now:.6g} queued={queued}>"

@@ -133,18 +133,17 @@ _STEP_LINK = 0   #: payload: the saturating FluidLink
 _STEP_CAP = 1    #: payload: the cap-bound FluidFlow
 _STEP_INF = 2    #: terminal: no finite constraint remained
 
-#: Components smaller than this skip the bottleneck cache: a from-scratch
-#: fill over a handful of flows is cheaper than the replay bookkeeping
-#: (the common per-server components of the figure workloads).  This is
-#: the historical fixed cutover, kept as the ``fill_cache_min_flows=8``
-#: override; the default policy is now adaptive (see ``_cache_wants``).
+#: Components at least this big replay the bottleneck cache by default;
+#: smaller ones must earn it (see ``_cache_wants``): a from-scratch fill
+#: over a handful of flows is usually cheaper than the replay bookkeeping
+#: (the common per-server components of the figure workloads).
 _CACHE_MIN_FLOWS = 8
 
-#: Adaptive-cutover knobs (``fill_cache_min_flows=None``).  The policy is
-#: per-component: an EWMA of replay outcomes (hit 1.0, partial 0.5, miss
-#: 0.0) decides whether the next refill replays or bypasses.  Components
-#: below the floor never cache (bookkeeping cannot win); between the floor
-#: and the historical threshold the EWMA must argue *for* replay; above it
+#: Adaptive-cutover knobs.  The policy is per-component: an EWMA of
+#: replay outcomes (hit 1.0, partial 0.5, miss 0.0) decides whether the
+#: next refill replays or bypasses.  Components below the floor never
+#: cache (bookkeeping cannot win); between the floor and
+#: ``_CACHE_MIN_FLOWS`` the EWMA must argue *for* replay; above it
 #: replay is the default until the EWMA collapses.  A bypassed component
 #: re-probes the cache periodically so a workload shift can re-qualify it.
 _CACHE_ADAPTIVE_FLOOR = 4
@@ -385,19 +384,11 @@ class FlowNetwork:
         fill).  Completion ordering is always identical to the scalar
         incremental allocator; rates are exact where the scan order is
         deterministic and ulp-bounded otherwise.
-    fill_cache_min_flows:
-        Fill-cache cutover policy (scalar incremental mode).  ``None``
-        (default): adaptive — a per-component EWMA of observed replay
-        outcomes decides when the bottleneck cache pays.  An ``int`` pins
-        the historical fixed threshold (``8`` is the pre-adaptive
-        behaviour).  Either policy is bit-identical in rates: it only
-        chooses *how* a refill is computed, never what it computes.
     """
 
     def __init__(self, sim: Simulator, incremental: bool = True,
                  perf=None, fill_cache: bool = True, heap_pool: bool = True,
-                 vectorized: bool = False,
-                 fill_cache_min_flows: Optional[int] = None):
+                 vectorized: bool = False):
         self.sim = sim
         self.incremental = bool(incremental)
         self.perf = perf
@@ -409,7 +400,6 @@ class FlowNetwork:
             and not self.vectorized
         self.heap_pool = bool(heap_pool) and self.incremental \
             and not self.vectorized
-        self.fill_cache_min_flows = fill_cache_min_flows
         if self.vectorized:
             from .fairshare_vec import VecEngine
             self._vec: Optional["VecEngine"] = VecEngine(self)
@@ -1060,8 +1050,8 @@ class FlowNetwork:
                 self.perf.bump("fill_cache_misses")
             self._fill_rates(live, record)
             if comp is not None and record is not None:
-                # Fills that bypass the cache (the component dipped below
-                # _CACHE_MIN_FLOWS) leave existing slots alone: each slot
+                # Fills that bypass the cache (the adaptive cutover turned
+                # the component away) leave existing slots alone: each slot
                 # is verified against its own recorded inputs on replay,
                 # so an intervening bypassed fill cannot stale it.
                 caps = {link: link.capacity
@@ -1073,19 +1063,13 @@ class FlowNetwork:
     def _cache_wants(self, comp: _Component, nflows: int) -> bool:
         """Should this refill go through the bottleneck cache?
 
-        ``fill_cache_min_flows`` as an ``int`` is the historical fixed
-        cutover (``8`` reproduces the pre-adaptive behaviour exactly).
-        ``None`` (default) learns per component from the observed ``fill_*``
-        outcomes: the replay-score EWMA opts mid-size components in while
-        replay pays and backs big ones off when the workload thrashes the
-        cache, with a periodic probe so a bypassed component can
-        re-qualify.  The choice only affects *how* rates are computed —
-        replay is verified bit-identical — so any policy yields the same
-        physics.
+        Learned per component from the observed ``fill_*`` outcomes: the
+        replay-score EWMA opts mid-size components in while replay pays and
+        backs big ones off when the workload thrashes the cache, with a
+        periodic probe so a bypassed component can re-qualify.  The choice
+        only affects *how* rates are computed — replay is verified
+        bit-identical — so it never changes the physics.
         """
-        min_flows = self.fill_cache_min_flows
-        if min_flows is not None:
-            return nflows >= min_flows
         if nflows < _CACHE_ADAPTIVE_FLOOR:
             return False
         cutoff = (_CACHE_EWMA_CUTOFF if nflows >= _CACHE_MIN_FLOWS

@@ -7,6 +7,7 @@ from repro.core import (
     InterfereStrategy, InterruptStrategy, SumInterferenceFactors,
     make_strategy,
 )
+from repro.core.strategies import Decision, Strategy
 
 
 def desc(app, nprocs, t_alone, total=1e9, started=None, remaining=None):
@@ -264,3 +265,15 @@ def test_waiting_totals_cache_is_bit_identical_to_fresh_fold():
         if i % 7 == 0:
             check()
     check()
+
+
+def test_supports_views_escape_hatch_removed():
+    """The ``supports_views = False`` list-materialization escape hatch is
+    gone: declaring it is a TypeError at class definition (no silent
+    behavior change, no warning machinery)."""
+    with pytest.raises(TypeError, match="has been removed"):
+        class Straggler(Strategy):
+            supports_views = False
+
+            def decide(self, now, active, waiting, incoming):
+                return Decision(Action.GO)

@@ -10,7 +10,7 @@ from repro.apps import IORConfig
 from repro.experiments import (
     BaselineCache, ExperimentEngine, ExperimentSpec, ParallelExecutor,
     SerialExecutor, WorkloadSpec, build_scenario, get_scenario,
-    list_scenarios, result_set_csv, result_set_json, run_many, run_pair,
+    list_scenarios, result_set_csv, result_set_json,
 )
 from repro.experiments.export import MISSING, multi_result_csv
 from repro.experiments.spec import (
@@ -47,18 +47,18 @@ def test_platform_roundtrip_handles_infinity():
     data = json.loads(json.dumps(platform_to_dict(cfg)))
     assert platform_from_dict(data) == cfg
     assert data["server_link_bandwidth"] == "inf"
-    with pytest.raises(ValueError):
-        platform_from_dict({**platform_to_dict(cfg), "bogus": 1})
+    # Unknown fields fail loudly, including the removed kernel knobs.
+    for field in ("bogus", "sim_queue", "fill_cache_min_flows"):
+        with pytest.raises(ValueError, match=field):
+            platform_from_dict({**platform_to_dict(cfg), field: 1})
 
 
 def test_platform_roundtrip_keeps_kernel_knobs():
     from dataclasses import replace
-    cfg = replace(grid5000_rennes(), allocator="vectorized",
-                  fill_cache_min_flows=8)
+    cfg = replace(grid5000_rennes(), allocator="vectorized")
     data = json.loads(json.dumps(platform_to_dict(cfg)))
     assert platform_from_dict(data) == cfg
     assert data["allocator"] == "vectorized"
-    assert data["fill_cache_min_flows"] == 8
 
 
 def test_workload_spec_mirrors_ior_config():
@@ -143,25 +143,28 @@ def test_parallel_delta_graph_matches_serial():
     assert g_serial.t_alone_a == g_parallel.t_alone_a
 
 
-def test_engine_run_matches_legacy_run_pair():
+def test_engine_pair_from_ior_configs_matches_workload_specs():
     engine = ExperimentEngine()
     spec = ExperimentSpec.pair(PLATFORM, w("A", 200), w("B", 100), dt=10.0)
     ours = engine.run(spec).as_pair()
-    legacy = run_pair(PLATFORM, w("A", 200).to_ior(), w("B", 100).to_ior(),
-                      dt=10.0)
-    assert ours.a == legacy.a
-    assert ours.b == legacy.b
-    assert ours.dt == legacy.dt
+    from_ior = ExperimentEngine().run(ExperimentSpec.pair(
+        PLATFORM, w("A", 200).to_ior(), w("B", 100).to_ior(),
+        dt=10.0)).as_pair()
+    assert ours.a == from_ior.a
+    assert ours.b == from_ior.b
+    assert ours.dt == from_ior.dt
 
 
-def test_engine_run_matches_legacy_run_many():
+def test_engine_multi_from_ior_configs_matches_workload_specs():
     engine = ExperimentEngine()
     configs = [w("a", 100).to_ior(), w("b", 100, start_time=5.0).to_ior()]
-    ours = engine.run(ExperimentSpec(platform=PLATFORM,
-                                     workloads=tuple(configs))).as_multi()
-    legacy = run_many(PLATFORM, configs)
-    assert ours.records == legacy.records
-    assert ours.makespan == legacy.makespan
+    ours = engine.run(ExperimentSpec(
+        platform=PLATFORM,
+        workloads=(w("a", 100), w("b", 100, start_time=5.0)))).as_multi()
+    from_ior = ExperimentEngine().run(ExperimentSpec(
+        platform=PLATFORM, workloads=tuple(configs))).as_multi()
+    assert ours.records == from_ior.records
+    assert ours.makespan == from_ior.makespan
 
 
 def test_result_set_grouping_and_errors():
@@ -210,13 +213,13 @@ def test_baseline_cache_key_normalizes_name_and_offset():
     assert len(engine.cache) == 1
 
 
-def test_standalone_time_shim_and_clear():
+def test_default_engine_baseline_and_clear():
     from repro.experiments import clear_baseline_cache, default_engine
-    from repro.experiments.runner import standalone_time
     clear_baseline_cache()
-    t1 = standalone_time(PLATFORM, w("shim", 50).to_ior())
+    t1 = default_engine().baseline(PLATFORM, w("shim", 50).to_ior())
     assert len(default_engine().cache) == 1
-    t2 = standalone_time(PLATFORM, w("shim", 50).to_ior(), use_cache=False)
+    t2 = default_engine().baseline(PLATFORM, w("shim", 50).to_ior(),
+                                   use_cache=False)
     assert t1 == t2
     assert len(default_engine().cache) == 1  # bypass neither read nor wrote
     clear_baseline_cache()

@@ -501,57 +501,34 @@ def test_scenario_equivalence_is_stable_across_allocation_layouts():
 # Adaptive fill-cache cutover (per-component replay-score EWMA)
 # ---------------------------------------------------------------------------
 
-def test_fixed_cutover_override_matches_adaptive_exactly():
-    """``fill_cache_min_flows=8`` (the historical fixed cutover) and the
-    adaptive default must yield bit-identical physics: the policy only
-    picks *how* rates are computed, and replay is verified exact."""
+def test_adaptive_cutover_matches_flat_baseline_exactly():
+    """The adaptive cutover must yield physics bit-identical to the flat
+    baseline: the policy only picks *how* rates are computed, and replay
+    is verified exact."""
     for seed in (3, 9, 21):
         script = _random_script(seed)
-        fixed = _run_script(*script, fill_cache=True, heap_pool=True,
-                            fill_cache_min_flows=8)
-        adaptive = _run_script(*script, fill_cache=True, heap_pool=True,
-                               fill_cache_min_flows=None)
+        adaptive = _run_script(*script, fill_cache=True, heap_pool=True)
         baseline = _run_script(*script, fill_cache=False, heap_pool=False)
-        for idx in fixed:
-            for variant in (adaptive, baseline):
-                a, b = fixed[idx], variant[idx]
-                if a is None or b is None:
-                    assert a == b
-                    continue
-                for x, y in zip(a, b):
-                    assert x == y or (math.isnan(x) and math.isnan(y)), (
-                        seed, idx, x, y)
+        for idx in adaptive:
+            a, b = adaptive[idx], baseline[idx]
+            if a is None or b is None:
+                assert a == b
+                continue
+            for x, y in zip(a, b):
+                assert x == y or (math.isnan(x) and math.isnan(y)), (
+                    seed, idx, x, y)
 
 
-def test_fixed_cutover_override_on_committed_scenario():
-    """End-to-end: a committed scenario runs bit-identically with the
-    fixed cutover forced through :class:`PlatformConfig`."""
-    from dataclasses import replace
+def test_adaptive_floor_gates_small_components():
+    """Components below the adaptive floor never consult the cache; a
+    bigger one records its first fill (one miss) and later fills
+    replay."""
+    from repro.simcore.fairshare import _CACHE_ADAPTIVE_FLOOR
 
-    engine = ExperimentEngine()
-    results = {}
-    for min_flows in (None, 8):
-        spec = build_scenario("checkpoint-waves", napps=30, nservers=6,
-                              ncohorts=3, phases=2, bridge_every=4)[0]
-        spec = replace(spec, platform=replace(
-            spec.platform, fill_cache_min_flows=min_flows))
-        results[min_flows] = engine.run(spec)
-    rec_none, rec_fixed = results[None].records, results[8].records
-    assert rec_none.keys() == rec_fixed.keys()
-    for name in rec_none:
-        assert rec_none[name].write_times == rec_fixed[name].write_times, name
-    assert results[None].makespan == results[8].makespan
-
-
-def test_int_override_gates_strictly_by_flow_count():
-    """An integer ``fill_cache_min_flows`` reproduces the fixed cutover:
-    below the threshold the cache is never consulted, at or above it the
-    first fill records (one miss) and later fills replay."""
-    def run(nflows, min_flows):
+    def run(nflows):
         perf = PerfCounters()
         sim = Simulator(perf=perf)
-        net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True,
-                          fill_cache_min_flows=min_flows)
+        net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
         server = FluidLink(1e9, "server")
         # Capped flows on an unsaturated link: cap steps replay across
         # membership changes, so the drain produces genuine cache hits.
@@ -561,14 +538,14 @@ def test_int_override_gates_strictly_by_flow_count():
         assert all(not math.isnan(f.finish_time) for f in flows)
         return perf
 
-    # 6 flows under a cutover of 100: every fill bypasses the cache.
-    perf = run(6, 100)
+    # Below the floor: every fill bypasses the cache.
+    perf = run(_CACHE_ADAPTIVE_FLOOR - 1)
     assert perf.get("fill_cache_misses") == 0, perf.as_dict()
     assert perf.get("fill_cache_hits") == 0, perf.as_dict()
     assert perf.get("components_refilled") > 0, perf.as_dict()
-    # The same workload under a cutover of 2: one recording miss, then
-    # the staggered completions replay the recorded order.
-    perf = run(6, 2)
+    # Well above it: one recording miss, then the staggered completions
+    # replay the recorded order.
+    perf = run(12)
     assert perf.get("fill_cache_misses") >= 1, perf.as_dict()
     assert perf.get("fill_cache_hits") >= 1, perf.as_dict()
 

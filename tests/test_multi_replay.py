@@ -3,7 +3,9 @@
 import pytest
 
 from repro.apps import IORConfig
-from repro.experiments import plan_replay, replay_trace, run_many
+from repro.experiments import (
+    ExperimentEngine, ExperimentSpec, plan_replay, replay_trace,
+)
 from repro.mpisim import Contiguous
 from repro.platforms import PlatformConfig
 from repro.traces import SWFJob, SWFTrace
@@ -20,23 +22,29 @@ def cfg(name, nprocs, start=0.0, block=1000):
                      start_time=start, grain="round", cb_buffer_size=2000)
 
 
-def test_run_many_rejects_duplicate_names():
+def run_apps(configs, strategy=None, measure_alone=True):
+    """Run ``configs`` together on one fresh platform (N-app result)."""
+    spec = ExperimentSpec(platform=PLATFORM, workloads=tuple(configs),
+                          strategy=strategy, measure_alone=measure_alone)
+    return ExperimentEngine().run(spec).as_multi()
+
+
+def test_multi_rejects_duplicate_names():
     with pytest.raises(ValueError):
-        run_many(PLATFORM, [cfg("x", 1), cfg("x", 2)])
+        run_apps([cfg("x", 1), cfg("x", 2)])
 
 
-def test_run_many_uncoordinated_three_apps_share():
+def test_multi_uncoordinated_three_apps_share():
     # 100-proc apps saturate the 1000 B/s file system alone, so three
     # overlapping ones each stretch ~3x.
-    res = run_many(PLATFORM, [cfg("a", 100), cfg("b", 100), cfg("c", 100)],
+    res = run_apps([cfg("a", 100), cfg("b", 100), cfg("c", 100)],
                    measure_alone=True)
     for name, factor in res.interference_factors().items():
         assert 2.0 < factor < 3.5, (name, factor)
 
 
-def test_run_many_fcfs_chains_apps():
-    res = run_many(PLATFORM,
-                   [cfg("a", 100), cfg("b", 100, 0.1), cfg("c", 100, 0.2)],
+def test_multi_fcfs_chains_apps():
+    res = run_apps([cfg("a", 100), cfg("b", 100, 0.1), cfg("c", 100, 0.2)],
                    strategy="fcfs")
     # Strict chain: later arrivals wait longer.
     t = {name: rec.write_time for name, rec in res.records.items()}
@@ -45,10 +53,9 @@ def test_run_many_fcfs_chains_apps():
     assert t["c"] > 2.2 * t["a"]
 
 
-def test_run_many_interrupt_stacks_preemptions():
+def test_multi_interrupt_stacks_preemptions():
     # c (latest) interrupts b, which had interrupted a.
-    res = run_many(PLATFORM,
-                   [cfg("a", 100, 0.0, block=4000),
+    res = run_apps([cfg("a", 100, 0.0, block=4000),
                     cfg("b", 100, 1.0, block=4000),
                     cfg("c", 100, 2.0, block=1000)],
                    strategy="interrupt")
@@ -61,20 +68,20 @@ def test_run_many_interrupt_stacks_preemptions():
     assert t["b"] > t["a"] > t["c"]
 
 
-def test_run_many_decision_log_covers_all_apps():
-    res = run_many(PLATFORM, [cfg("a", 10), cfg("b", 10, 0.5),
-                              cfg("c", 10, 1.0)], strategy="dynamic")
+def test_multi_decision_log_covers_all_apps():
+    res = run_apps([cfg("a", 10), cfg("b", 10, 0.5), cfg("c", 10, 1.0)],
+                   strategy="dynamic")
     assert {d.app for d in res.decisions} == {"a", "b", "c"}
 
 
-def test_run_many_makespan_consistency():
-    res = run_many(PLATFORM, [cfg("a", 50), cfg("b", 50, 5.0)])
+def test_multi_makespan_consistency():
+    res = run_apps([cfg("a", 50), cfg("b", 50, 5.0)])
     assert res.makespan >= max(rec.write_time
                                for rec in res.records.values())
 
 
 def test_multi_metrics():
-    res = run_many(PLATFORM, [cfg("a", 50), cfg("b", 25, 1.0)])
+    res = run_apps([cfg("a", 50), cfg("b", 25, 1.0)])
     f = res.cpu_seconds_wasted()
     assert f == pytest.approx(
         50 * res.records["a"].write_time + 25 * res.records["b"].write_time)

@@ -13,10 +13,9 @@ Four layers of guarantees:
 * **Worker failure** — a worker killed mid-run (or a broken pipe) must
   surface a clean :class:`ShardWorkerError`, fire withdraws at the
   surviving workers, and tear the pool down without hanging.
-* **DELAY negotiation** — ``span_delay="requeue"`` releases held shards
-  while a later shard's DELAY hold runs out (vs the historical
-  ``"hold"``), and the two modes are decision-log-equivalent whenever
-  strategies never DELAY.
+* **DELAY negotiation** — a span releases its held shards while a later
+  shard's DELAY hold runs out, and re-acquires the chain identically in
+  process mode.
 """
 
 import struct
@@ -30,7 +29,6 @@ from repro.core import (
 )
 from repro.experiments import build_scenario
 from repro.experiments.engine import execute_spec
-from repro.perf import PerfCounters
 from repro.service.protocol import decisions_to_json
 from repro.simcore import Simulator
 
@@ -210,8 +208,6 @@ def test_inline_router_close_is_noop():
 def test_invalid_workers_value_rejected():
     with pytest.raises(ValueError):
         ShardRouter(Simulator(), 2, "fcfs", workers="threads")
-    with pytest.raises(ValueError):
-        ShardRouter(Simulator(), 2, "fcfs", span_delay="never")
 
 
 # -- worker failure -----------------------------------------------------------
@@ -310,11 +306,10 @@ class DelayWhenBusy(FCFSStrategy):
         return Decision(Action.GO)
 
 
-def _delay_span_scenario(span_delay):
+def _delay_span_scenario():
     """holder on shard 1; span (0,1) hits its DELAY; rival probes shard 0."""
     sim = Simulator()
-    router = ShardRouter(sim, 2, DelayWhenBusy(delay=1.0),
-                         span_delay=span_delay)
+    router = ShardRouter(sim, 2, DelayWhenBusy(delay=1.0))
     seen = {}
 
     def holder():
@@ -347,8 +342,8 @@ def _delay_span_scenario(span_delay):
     return seen
 
 
-def test_span_delay_requeue_frees_held_shards():
-    seen = _delay_span_scenario("requeue")
+def test_delay_requeue_frees_held_shards():
+    seen = _delay_span_scenario()
     # The chain retreated: shard 0 is *not* pinned during the hold, so
     # the rival is granted instantly on an idle shard.
     assert seen["span_on_shard0"] is AccessState.IDLE
@@ -356,32 +351,17 @@ def test_span_delay_requeue_frees_held_shards():
     assert seen["granted_at"] == pytest.approx(2.5)
 
 
-def test_span_delay_hold_pins_engaged_prefix():
-    seen = _delay_span_scenario("hold")
-    # Historical behavior: the span sits on its shard-0 grant through the
-    # whole hold, so the rival finds the shard busy and is delayed too.
-    # Shard 1's hold expires at 1.5 and activates (DELAY = "come back in
-    # delta, then run" — the strategy priced the wait), completing the
-    # chain while shard 0 never left the span's hands.
-    assert seen["span_on_shard0"] is AccessState.ACTIVE
-    assert seen["rival_ok"] is False
-    assert seen["granted_at"] == pytest.approx(1.5)
-
-
-def test_span_delay_modes_equivalent_when_strategies_never_delay():
-    """FCFS never DELAYs: hold and requeue must be bit-identical."""
+def test_removed_hold_mode_fails_loudly():
+    """Requeue is the only cross-shard DELAY behaviour: a spec that still
+    carries the removed mode selector fails instead of being ignored."""
     spec, = build_scenario("cross-partition", napps=8, npartitions=4,
                            nservers=8, strategy="fcfs")
-    hold = execute_spec(spec.with_(
-        arbiter={**spec.arbiter, "span_delay": "hold"}))
-    requeue = execute_spec(spec.with_(
-        arbiter={**spec.arbiter, "span_delay": "requeue"}))
-    assert (decisions_to_json(requeue.decisions)
-            == decisions_to_json(hold.decisions))
-    assert requeue.makespan == hold.makespan
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        execute_spec(spec.with_(
+            arbiter={**spec.arbiter, "span_delay": "hold"}))
 
 
-def test_span_delay_requeue_identical_across_process_mode():
+def test_delay_requeue_identical_across_process_mode():
     """The requeue path goes through the same proxies: process == inline."""
     spec, = build_scenario("cross-partition", napps=8, npartitions=4,
                            nservers=8, strategy="fcfs")

@@ -327,6 +327,14 @@ def test_ops_healthz_metrics_and_drain():
         assert "# TYPE service_sessions_active gauge" in text
         assert "service_sessions_active 1" in text
         assert "service_draining 0" in text
+        # Monotonic PerfCounters totals are counters; only the four live
+        # values are gauges.
+        types = dict(line.split()[2:4] for line in text.splitlines()
+                     if line.startswith("# TYPE "))
+        gauges = {"service_sessions_active", "service_connections_active",
+                  "service_pending_entries", "service_draining"}
+        assert {n for n, kind in types.items() if kind == "gauge"} == gauges
+        assert types["service_connections"] == "counter"
 
         status, _ = await _http(host, port, "GET", "/no-such-route")
         assert status == 404

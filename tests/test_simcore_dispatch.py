@@ -1,25 +1,24 @@
-"""The dispatch core: cancellable timers, batch dispatch, queue backends.
+"""The dispatch core: cancellable timers, batch dispatch, the oracle.
 
 Covers the engine-level contracts the 10^6-flow regime leans on:
 
 * :class:`~repro.simcore.engine.Timer` handle semantics — ``cancel()``,
-  ``reschedule()``, ``active``/``cancelled`` — identical across the heap,
-  calendar and oracle backends;
+  ``reschedule()``, ``active``/``cancelled`` — identical on the batch core
+  (``heap``) and :class:`~repro.simcore.oracle.OracleSimulator`
+  (``oracle``);
 * same-timestamp batch dispatch, including the delay-0 lane and failure
   mid-batch;
 * retirement-time ``timers_cancelled`` accounting and bulk compaction;
-* a randomized three-backend equivalence fuzzer (ties, zero delays,
+* a randomized heap-vs-oracle equivalence fuzzer (ties, zero delays,
   mid-flight cancellations and reschedules, failing processes, ``until=``
   variants) — serialized traces must be string-equal;
 * committed scenarios: arbiter decision logs string-equal and kernel
-  finish times ``np.array_equal`` under ``queue="heap"`` vs
-  ``queue="calendar"``;
+  finish times ``np.array_equal`` on the batch core vs the oracle;
 * the peripheral call sites that migrated onto handles (fair-share
   horizon wakes, cache boundary wakes) and the arbiter DELAY-hold epoch
   guard kept as belt-and-braces.
 """
 
-import math
 import random
 
 import numpy as np
@@ -29,21 +28,25 @@ from repro.core import AccessDescriptor, AccessState, Arbiter
 from repro.core.strategies import Action, Decision, FCFSStrategy
 from repro.perf import PerfCounters
 from repro.simcore import (
-    FluidLink, FlowNetwork, SimulationError, Simulator,
+    FluidLink, FlowNetwork, OracleSimulator, SimulationError, Simulator,
 )
 from repro.simcore.engine import _COMPACT_MIN_DEAD, Timer
 from repro.storage import WriteBackCache
 
-BACKENDS = ("heap", "calendar", "oracle")
+#: The batch core and the per-event oracle, by test id.
+SIMULATORS = {"heap": Simulator, "oracle": OracleSimulator}
+BACKENDS = tuple(SIMULATORS)
+#: Batch-dispatch contracts hold on the batch core only.
+BATCH = ("heap",)
 
 
 # ---------------------------------------------------------------------------
-# Timer handle semantics (identical surface on every backend)
+# Timer handle semantics (identical surface on the core and the oracle)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_cancelled_timer_never_fires(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_cancelled_timer_never_fires(kind):
+    sim = SIMULATORS[kind]()
     fired = []
     t = sim.call_at(1.0, lambda: fired.append(sim.now))
     assert t.active and not t.cancelled
@@ -56,18 +59,18 @@ def test_cancelled_timer_never_fires(queue):
     assert sim.now == 2.0  # the clock never advanced for the dead entry
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_cancel_after_fire_returns_false(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_cancel_after_fire_returns_false(kind):
+    sim = SIMULATORS[kind]()
     t = sim.call_at(1.0, lambda: None)
     sim.run()
     assert not t.active
     assert t.cancel() is False
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_reschedule_pending_supersedes(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_reschedule_pending_supersedes(kind):
+    sim = SIMULATORS[kind]()
     fired = []
     t = sim.call_at(5.0, lambda: fired.append(sim.now))
     assert t.reschedule(2.0) is t
@@ -76,9 +79,9 @@ def test_reschedule_pending_supersedes(queue):
     assert fired == [2.0]  # fired once, at the new time only
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_reschedule_rearms_fired_and_cancelled_handles(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_reschedule_rearms_fired_and_cancelled_handles(kind):
+    sim = SIMULATORS[kind]()
     fired = []
     t = sim.call_at(1.0, lambda: fired.append(sim.now))
     sim.run()
@@ -94,9 +97,9 @@ def test_reschedule_rearms_fired_and_cancelled_handles(queue):
     assert fired == [1.0, 3.0, 5.0]
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_reschedule_into_past_rejected(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_reschedule_into_past_rejected(kind):
+    sim = SIMULATORS[kind]()
     sim.call_at(2.0, lambda: None)
     t = sim.call_at(3.0, lambda: None)
     sim.run()
@@ -106,9 +109,9 @@ def test_reschedule_into_past_rejected(queue):
     assert "1.0" in str(err.value) and "3.0" in str(err.value)
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_call_at_past_reports_timestamp_and_clock(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_call_at_past_reports_timestamp_and_clock(kind):
+    sim = SIMULATORS[kind]()
     sim.call_at(4.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError) as err:
@@ -116,12 +119,12 @@ def test_call_at_past_reports_timestamp_and_clock(queue):
     assert "1.5" in str(err.value) and "4.0" in str(err.value)
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_reschedule_from_inside_callback_to_now_joins_batch(queue):
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_reschedule_from_inside_callback_to_now_joins_batch(kind):
     """A handle rescheduled to the current instant from a firing callback
-    joins the in-flight batch (heap/calendar) or dispatches at the same
+    joins the in-flight batch (heap) or dispatches at the same
     timestamp (oracle) — either way it runs at the same sim time."""
-    sim = Simulator(queue=queue)
+    sim = SIMULATORS[kind]()
     fired = []
     later = sim.call_at(9.0, lambda: fired.append(("later", sim.now)))
 
@@ -135,24 +138,18 @@ def test_reschedule_from_inside_callback_to_now_joins_batch(queue):
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(queue="wheel")
-
-
-def test_backend_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-    assert Simulator().queue_backend == "calendar"
-    monkeypatch.delenv("REPRO_SIM_QUEUE")
-    assert Simulator().queue_backend == "heap"
+    """There is one event queue: the old backend selector fails loudly."""
+    with pytest.raises(TypeError):
+        Simulator(queue="heap")
 
 
 # ---------------------------------------------------------------------------
 # Batch dispatch
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_step_drains_whole_coincident_batch(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BATCH)
+def test_step_drains_whole_coincident_batch(kind):
+    sim = SIMULATORS[kind]()
     order = []
     for i in range(4):
         sim.call_at(1.0, lambda i=i: order.append(i))
@@ -164,11 +161,11 @@ def test_step_drains_whole_coincident_batch(queue):
     assert order == [0, 1, 2, 3, "next"]
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_delay_zero_from_callback_joins_batch(queue):
+@pytest.mark.parametrize("kind", BATCH)
+def test_delay_zero_from_callback_joins_batch(kind):
     """Events scheduled at the batch timestamp *during* the batch ride the
     FIFO lane: same clock instant, ordered after the queued members."""
-    sim = Simulator(queue=queue)
+    sim = SIMULATORS[kind]()
     order = []
 
     def leader():
@@ -182,9 +179,9 @@ def test_delay_zero_from_callback_joins_batch(queue):
     assert sim.now == 1.0
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_step_on_empty_queue_raises(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_step_on_empty_queue_raises(kind):
+    sim = SIMULATORS[kind]()
     with pytest.raises(SimulationError):
         sim.step()
     t = sim.call_at(1.0, lambda: None)
@@ -193,12 +190,12 @@ def test_step_on_empty_queue_raises(queue):
         sim.step()  # a dead-only queue is empty for dispatch purposes
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_failure_mid_batch_preserves_undelivered_lane(queue):
+@pytest.mark.parametrize("kind", BATCH)
+def test_failure_mid_batch_preserves_undelivered_lane(kind):
     """A process failure aborting a batch must not lose the lane: the
     delay-0 events scheduled before the failure go back into the queue
     and dispatch when the driver resumes."""
-    sim = Simulator(queue=queue)
+    sim = SIMULATORS[kind]()
     order = []
 
     def boom():
@@ -232,10 +229,10 @@ def test_failure_mid_batch_preserves_undelivered_lane(queue):
 # Perf counters: retirement-time accounting and compaction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_timers_cancelled_counted_at_retirement(queue):
+@pytest.mark.parametrize("kind", BATCH)
+def test_timers_cancelled_counted_at_retirement(kind):
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[kind](perf=perf)
     t = sim.call_at(1.0, lambda: None)
     sim.call_at(2.0, lambda: None)
     t.cancel()
@@ -249,10 +246,10 @@ def test_timers_cancelled_counted_at_retirement(queue):
     assert counters["timer_fastpath_hits"] == 1
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_coincident_counter_counts_batch_followers(queue):
+@pytest.mark.parametrize("kind", BATCH)
+def test_coincident_counter_counts_batch_followers(kind):
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[kind](perf=perf)
     for _ in range(5):
         sim.call_at(1.0, lambda: None)
     sim.call_at(2.0, lambda: None)
@@ -264,20 +261,19 @@ def test_coincident_counter_counts_batch_followers(queue):
     assert counters["timer_fastpath_hits"] == 6
 
 
-@pytest.mark.parametrize("queue", ("heap", "calendar"))
-def test_bulk_cancellation_triggers_compaction(queue):
+@pytest.mark.parametrize("kind", BATCH)
+def test_bulk_cancellation_triggers_compaction(kind):
     """Once dead entries outnumber live ones (past the floor) they are
     swept in bulk — without any dispatch — and counted then."""
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[kind](perf=perf)
     timers = [sim.call_at(1.0 + i * 1e-3, lambda: None)
               for i in range(_COMPACT_MIN_DEAD + 10)]
     for t in timers:
         t.cancel()
     # The sweep fired during the cancel storm: counted without dispatch.
     assert perf.as_dict()["timers_cancelled"] >= _COMPACT_MIN_DEAD
-    if queue == "heap":
-        assert len(sim._queue) <= 10
+    assert len(sim._queue) <= 10
     sim.run()
     assert perf.as_dict()["timers_cancelled"] == len(timers)
     assert perf.as_dict().get("events_processed", 0) == 0
@@ -285,11 +281,12 @@ def test_bulk_cancellation_triggers_compaction(queue):
 
 def test_reschedule_consumes_one_insertion_id():
     """`reschedule` must burn exactly the ids that cancel()+call_at()
-    would, or backends stop being dispatch-order comparable."""
-    sim_a = Simulator(queue="heap")
+    would, or the core stops being dispatch-order comparable with the
+    oracle."""
+    sim_a = Simulator()
     t = sim_a.call_at(1.0, lambda: None)
     t.reschedule(2.0)
-    sim_b = Simulator(queue="heap")
+    sim_b = Simulator()
     u = sim_b.call_at(1.0, lambda: None)
     u.cancel()
     sim_b.call_at(2.0, lambda: None)
@@ -297,20 +294,20 @@ def test_reschedule_consumes_one_insertion_id():
 
 
 # ---------------------------------------------------------------------------
-# Randomized three-backend equivalence fuzzer
+# Randomized heap-vs-oracle equivalence fuzzer
 # ---------------------------------------------------------------------------
 
-def _fuzz_trace(queue, seed, until_mode):
+def _fuzz_trace(kind, seed, until_mode):
     """One pseudo-random dispatch workout; returns its serialized trace.
 
-    Every decision is drawn from an RNG seeded identically across
-    backends; since backends promise identical dispatch order, the draw
+    Every decision is drawn from an RNG seeded identically for both
+    simulators; since they promise identical dispatch order, the draw
     sequence stays aligned — any divergence desynchronizes the trace and
     the string comparison fails loudly.
     """
     rng = random.Random(seed)
     perf = PerfCounters()
-    sim = Simulator(perf=perf, queue=queue)
+    sim = SIMULATORS[kind](perf=perf)
     log = []
     handles = []
 
@@ -357,7 +354,7 @@ def _fuzz_trace(queue, seed, until_mode):
         sim.run()
     log.append(("end", round(sim.now, 9)))
     # Retirement accounting: with the queue drained, every cancelled
-    # entry has been counted exactly once on every backend.
+    # entry has been counted exactly once on both simulators.
     log.append(("cancelled", perf.as_dict().get("timers_cancelled", 0)))
     return str(log)
 
@@ -365,16 +362,14 @@ def _fuzz_trace(queue, seed, until_mode):
 @pytest.mark.parametrize("until_mode", ("none", "time", "event"))
 def test_fuzzed_traces_identical_across_backends(until_mode):
     for seed in range(8):
-        traces = {q: _fuzz_trace(q, seed, until_mode) for q in BACKENDS}
+        traces = {k: _fuzz_trace(k, seed, until_mode) for k in BACKENDS}
         assert traces["heap"] == traces["oracle"], (
             f"seed {seed}: heap diverged from oracle")
-        assert traces["calendar"] == traces["oracle"], (
-            f"seed {seed}: calendar diverged from oracle")
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
-def test_failing_process_aborts_identically(queue):
-    sim = Simulator(queue=queue)
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_failing_process_aborts_identically(kind):
+    sim = SIMULATORS[kind]()
 
     def doomed():
         yield sim.timeout(1.0)
@@ -393,7 +388,7 @@ def test_failing_process_aborts_identically(queue):
 
 
 # ---------------------------------------------------------------------------
-# Committed scenarios: decision logs and finish times across backends
+# Committed scenarios: decision logs and finish times, core vs oracle
 # ---------------------------------------------------------------------------
 
 class _DelayThenShare(FCFSStrategy):
@@ -406,8 +401,8 @@ class _DelayThenShare(FCFSStrategy):
         return Decision(Action.GO)
 
 
-def _arbiter_scenario(queue):
-    sim = Simulator(queue=queue)
+def _arbiter_scenario(kind):
+    sim = SIMULATORS[kind]()
     arb = Arbiter(sim, _DelayThenShare())
 
     def app(name, start, work):
@@ -427,14 +422,13 @@ def _arbiter_scenario(queue):
 
 def test_arbiter_decision_log_equal_across_backends():
     log_heap, end_heap = _arbiter_scenario("heap")
-    log_cal, end_cal = _arbiter_scenario("calendar")
     log_oracle, end_oracle = _arbiter_scenario("oracle")
-    assert log_heap == log_oracle == log_cal
-    assert end_heap == end_oracle == end_cal
+    assert log_heap == log_oracle
+    assert end_heap == end_oracle
 
 
-def _kernel_scenario(queue):
-    sim = Simulator(queue=queue)
+def _kernel_scenario(kind):
+    sim = SIMULATORS[kind]()
     net = FlowNetwork(sim)
     shared = FluidLink(100.0, "shared")
     finish = []
@@ -453,9 +447,8 @@ def _kernel_scenario(queue):
 
 
 def test_kernel_finish_times_equal_across_backends():
-    times = {q: _kernel_scenario(q) for q in BACKENDS}
+    times = {k: _kernel_scenario(k) for k in BACKENDS}
     assert np.array_equal(times["heap"], times["oracle"])
-    assert np.array_equal(times["calendar"], times["oracle"])
 
 
 # ---------------------------------------------------------------------------
