@@ -15,14 +15,15 @@ under both allocators; the benchmark
   ``benchmarks/results/BENCH_kernel.json`` (see the README's "Performance
   instrumentation" section for how to read it).
 
-A second, **high-churn** benchmark measures the PR-5 bottleneck-incremental
+A second, **high-churn** benchmark measures the bottleneck-incremental
 regime: components of ~10^2 rate-capped flows where every completion or
-arrival used to trigger a from-scratch progressive filling.  The same
-workload runs under the full kernel (cached bottleneck orders + wake-heap
-pool) and under the PR-2 incremental baseline (``fill_cache=False,
-heap_pool=False``); completion times must match exactly and the cached
-kernel must be >= 2x faster at full scale.  Results land in the ``churn``
-section of ``BENCH_kernel.json``.
+arrival would otherwise trigger a from-scratch progressive filling.  The
+same workload runs under the production kernel (cached bottleneck orders)
+and under the fresh-fill baseline
+(:class:`~repro.simcore.oracle.FreshFillFlowNetwork`: the same components
+and wake-heap pool with the cache bypassed); completion times must match
+exactly and the cached kernel must be >= 2x faster at full scale.
+Results land in the ``churn`` section of ``BENCH_kernel.json``.
 
 Reduced configurations for CI smoke runs come from the environment:
 ``SCALE_KERNEL_APPS``, ``SCALE_KERNEL_SERVERS``, ``SCALE_KERNEL_FLOWS``
@@ -42,6 +43,7 @@ import numpy as np
 
 from repro.perf import PerfCounters
 from repro.simcore import FluidLink, FlowNetwork, Simulator
+from repro.simcore.oracle import FreshFillFlowNetwork
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -169,7 +171,7 @@ def test_scale_kernel_speedup_and_equivalence(report):
 
 
 # ---------------------------------------------------------------------------
-# High-churn regime: cached bottleneck orders vs the PR-2 incremental baseline
+# High-churn regime: cached bottleneck orders vs the fresh-fill baseline
 # ---------------------------------------------------------------------------
 
 CHURN_PHASES = 3
@@ -205,8 +207,8 @@ def _run_churn_kernel(cached: bool, napps: int, seed: int = SEED):
     wl = _churn_workload(napps, nservers, seed)
     perf = PerfCounters()
     sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, incremental=True, perf=perf,
-                      fill_cache=cached, heap_pool=cached)
+    net_cls = FlowNetwork if cached else FreshFillFlowNetwork
+    net = net_cls(sim, perf=perf)
     # Server ingest never binds (2x the worst-case cap sum): the bottleneck
     # order is the per-flow cap sequence, ~10^2 steps per component.
     per_server = 2.0 * (CHURN_STABLE_PER_SERVER * 2e6
@@ -239,16 +241,16 @@ def _run_churn_kernel(cached: bool, napps: int, seed: int = SEED):
 
 
 def test_scale_kernel_churn_speedup_and_equivalence(report):
-    """High-churn components: cached bottleneck order >= 2x the PR-2
+    """High-churn components: cached bottleneck order >= 2x the fresh-fill
     baseline at full scale, with exactly identical completion times."""
     scales = {}
-    lines = ["high-churn kernel benchmark (cached bottleneck order + heap "
-             "pool vs PR-2 incremental baseline)"]
+    lines = ["high-churn kernel benchmark (cached bottleneck order vs "
+             "fresh-fill baseline)"]
     full_scale = min(CHURN_APPS) >= 500
     for napps in CHURN_APPS:
         wall_new, times_new, perf_new = _run_churn_kernel(True, napps)
         wall_old, times_old, perf_old = _run_churn_kernel(False, napps)
-        # Same incremental physics, different filling shortcut: the cached
+        # Same components and wake pool, different filling: the cached
         # order must reproduce the from-scratch rates bit for bit.
         assert np.array_equal(times_new, times_old), (
             f"cached fill diverged at {napps} apps: max |dt| = "
@@ -288,8 +290,8 @@ def test_scale_kernel_churn_speedup_and_equivalence(report):
     if full_scale:
         for napps, entry in scales.items():
             assert entry["speedup"] >= 2.0, (
-                f"cached kernel only {entry['speedup']:.2f}x over the PR-2 "
-                f"baseline at {napps} apps (needs >= 2x)"
+                f"cached kernel only {entry['speedup']:.2f}x over the "
+                f"fresh-fill baseline at {napps} apps (needs >= 2x)"
             )
     else:
         for entry in scales.values():

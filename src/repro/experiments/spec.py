@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..apps import IORConfig
 from ..mpisim import AccessPattern, Contiguous, Strided
-from ..platforms import PlatformConfig
+from ..platforms import ALLOCATORS, PlatformConfig
 
 __all__ = [
     "WorkloadSpec", "ExperimentSpec",
@@ -94,6 +94,9 @@ def platform_from_dict(data: Dict[str, Any]) -> PlatformConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown platform fields: {sorted(unknown)}")
+    if "allocator" in data and data["allocator"] not in ALLOCATORS:
+        raise ValueError(f"unknown allocator {data['allocator']!r}; "
+                         f"valid: {ALLOCATORS}")
     kwargs = dict(data)
     for key in _PLATFORM_FLOAT_FIELDS:
         if key in kwargs and kwargs[key] is not None:

@@ -32,7 +32,8 @@ counter                    meaning
 ``reallocations``          allocator invocations (any trigger)
 ``rate_recomputations``    progressive-filling runs (per dirty component)
 ``flows_touched``          flows re-priced across all recomputations
-``components_refilled``    dirty components walked (incremental mode only)
+``components_refilled``    dirty components walked (the global oracle
+                           walks one whole-network component per refill)
 ``flow_starts``            flows started
 ``flow_completions``       flows that delivered their last byte
 ``wakes``                  completion-horizon wakeups handled
@@ -284,8 +285,8 @@ def check_perf_regression(fresh: Mapping[str, Any],
     """
     if kind == "kernel":
         # Regime sub-records (per-scale {"speedup": ...} maps under a
-        # regime key): "churn" gates the cached kernel vs the PR-2
-        # incremental baseline, "hyperscale" gates the vectorized kernel
+        # regime key): "churn" gates the cached kernel vs the fresh-fill
+        # baseline, "hyperscale" gates the vectorized kernel
         # vs the incremental oracle.  Each gates at the largest scale the
         # two records share, with matching per-scale workload parameters.
         # A regime present in only one record — the normal state while a

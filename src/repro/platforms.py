@@ -37,6 +37,9 @@ from .storage.partitioned import default_partition
 __all__ = ["PlatformConfig", "Platform", "surveyor", "grid5000_nancy",
            "grid5000_rennes"]
 
+#: Valid :attr:`PlatformConfig.allocator` names.
+ALLOCATORS = ("incremental", "vectorized", "global")
+
 #: A workload's declared partition placement (see Platform.app_partitions).
 _OptionalPartitions = Optional[Sequence[int]]
 
@@ -70,19 +73,17 @@ class PlatformConfig:
     #: Disable for experiments that need per-server behaviour (scheduler
     #: ablations, non-uniform access).
     pool_servers: bool = True
-    #: Bandwidth allocator: ``"incremental"`` (default — dirty-component
-    #: reallocation with cached bottleneck orders and the per-component
-    #: wake-heap pool, see :mod:`repro.simcore.fairshare`),
-    #: ``"vectorized"`` (structure-of-arrays components priced with numpy
-    #: array operations, see :mod:`repro.simcore.fairshare_vec` — the
-    #: 10^5-10^6-flow regime; completion ordering identical to
-    #: ``"incremental"``, rates exact where the scan order is
-    #: deterministic and ulp-bounded otherwise),
-    #: ``"incremental-flat"`` (the PR-2 regime: dirty-component refills
-    #: with from-scratch filling and one machine-wide heap — the scale
-    #: benchmark's baseline) or ``"global"`` (the retained reference
-    #: oracle that re-prices every flow on every change; identical rates,
-    #: slower).
+    #: Bandwidth allocator, one of :data:`ALLOCATORS`: ``"incremental"``
+    #: (default — dirty-component reallocation with cached bottleneck
+    #: orders and the per-component wake-heap pool, see
+    #: :mod:`repro.simcore.fairshare`), ``"vectorized"``
+    #: (structure-of-arrays components priced with numpy array operations,
+    #: see :mod:`repro.simcore.fairshare_vec` — the 10^5-10^6-flow regime;
+    #: completion ordering identical to ``"incremental"``, rates exact
+    #: where the scan order is deterministic and ulp-bounded otherwise) or
+    #: ``"global"`` (the retained reference oracle that re-prices every
+    #: flow as one whole-network component on every change; completion
+    #: times within 1e-9, slower).
     allocator: str = "incremental"
     #: File-system partitions: the ``nservers`` data servers are split into
     #: this many disjoint groups, each running its own
@@ -139,12 +140,10 @@ class Platform:
     """An instantiated machine: simulator + fabric + PFS + client registry."""
 
     def __init__(self, config: PlatformConfig):
-        if config.allocator not in ("incremental", "vectorized",
-                                    "incremental-flat", "global"):
+        if config.allocator not in ALLOCATORS:
             raise SimulationError(
-                f"allocator must be 'incremental', 'vectorized', "
-                f"'incremental-flat' or 'global', got {config.allocator!r}"
-            )
+                f"allocator must be one of {ALLOCATORS}, "
+                f"got {config.allocator!r}")
         if config.npartitions < 1:
             raise SimulationError(
                 f"npartitions must be >= 1, got {config.npartitions}")
@@ -159,8 +158,6 @@ class Platform:
             self.sim,
             incremental=(config.allocator != "global"),
             perf=self.perf,
-            fill_cache=(config.allocator == "incremental"),
-            heap_pool=(config.allocator == "incremental"),
             vectorized=(config.allocator == "vectorized"),
         )
         self.fabric = Fabric(self.sim, self.net, latency=config.latency)

@@ -11,7 +11,7 @@ from .errors import Interrupt, SimulationError
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .fairshare import FluidFlow, FluidLink, FlowNetwork
 from .monitor import TimeSeries
-from .oracle import OracleSimulator
+from .oracle import FreshFillFlowNetwork, OracleSimulator
 from .process import Process
 from .resources import Request, Resource, Store
 from .rng import ensure_rng, substream
@@ -21,6 +21,6 @@ __all__ = [
     "Event", "Timeout", "Condition", "AllOf", "AnyOf",
     "Process", "Interrupt", "SimulationError",
     "Resource", "Request", "Store",
-    "FluidLink", "FluidFlow", "FlowNetwork",
+    "FluidLink", "FluidFlow", "FlowNetwork", "FreshFillFlowNetwork",
     "TimeSeries", "substream", "ensure_rng",
 ]

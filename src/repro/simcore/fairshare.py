@@ -61,30 +61,28 @@ Wake-heap pool
 --------------
 Completions are driven by per-flow completion horizons with lazy
 invalidation (a refill bumps the generation of every flow it touches).
-Instead of one machine-wide heap, horizons live in a **pool of
-per-component heaps** keyed by a component registry (links carry their
-component; refills union touched components and split off the refilled
-part when membership shrinks), and a small index heap of per-component
-next-wake times drives the simulator wake.  Stale-entry churn — the
-``_schedule_next_wake`` compaction that used to scan a heap proportional
-to *every* flow in the machine — is now confined to the component that
-caused it, and a retired component drops its garbage wholesale.
+Horizons live in a **pool of per-component heaps** keyed by a component
+registry (links carry their component; refills union touched components
+and split off the refilled part when membership shrinks), and a small
+index heap of per-component next-wake times drives the simulator wake.
+Stale-entry churn stays confined to the component that caused it instead
+of scaling with *every* flow in the machine, and a retired component
+drops its garbage wholesale.
 
 One integration path
 --------------------
-Within a component the filling iterates flows in registration order —
-exactly the order the historical global allocator used — so the
-incremental allocator reproduces the global allocator's rates bit for bit.
-The global path is retained purely as a rate-computation oracle
+The component registry, the wake-heap pool and the adaptive bottleneck
+cache are the only scalar path.  Within a component the filling iterates
+flows in registration order — exactly the order a whole-network fill
+uses — so per-component rates agree with the global allocator's.  The
+global allocator is retained purely as a rate-computation oracle
 (``FlowNetwork(sim, incremental=False)``, or
-``PlatformConfig(allocator="global")``): it shares the lazy per-flow
-integration, the dirty-driven reallocation loop and the completion-horizon
-machinery with the incremental path (the historical eager ``_advance``
-loop is gone) and differs only in re-pricing every flow, fresh, on every
-change.  ``FlowNetwork(sim, fill_cache=False, heap_pool=False)`` is the
-PR-2 regime — dirty-component refills with from-scratch filling and a
-single flat heap — kept as the baseline for
-``benchmarks/test_scale_kernel.py`` and as a second equivalence oracle.
+``PlatformConfig(allocator="global")``) and rides the same machinery:
+every refill is one whole-network component of every unpaused flow,
+priced fresh with the cache bypassed (completion times agree within
+1e-9).  The bit-exact reference for the cache is
+:class:`repro.simcore.oracle.FreshFillFlowNetwork`, which differs only in
+never consulting it.
 
 For the 10^6-flow regime, ``FlowNetwork(sim, vectorized=True)``
 (``PlatformConfig(allocator="vectorized")``) swaps the per-flow Python
@@ -183,8 +181,7 @@ class FluidLink:
         self.network: Optional["FlowNetwork"] = None
         #: Unpaused, unfinished flows crossing this link (insertion-ordered).
         self._active: Dict["FluidFlow", None] = {}
-        #: Registry component this link currently belongs to (incremental
-        #: networks with the fill cache or heap pool enabled).
+        #: Registry component this link currently belongs to.
         self._comp: Optional["_Component"] = None
 
     @property
@@ -357,29 +354,22 @@ class FlowNetwork:
     sim:
         The simulator driving this network.
     incremental:
-        ``True`` (default): dirty-component reallocation.  ``False``: the
-        reference oracle — every change re-prices every flow with a fresh
-        progressive filling (identical rates, slower); it shares the lazy
-        per-flow integration and wake machinery with the incremental path.
+        ``True`` (default): dirty-component reallocation with the
+        adaptive bottleneck cache and the per-component wake-heap pool.
+        ``False``: the global reference oracle — every refill is one
+        whole-network component re-priced fresh (cache bypassed), on the
+        same registry, integration and wake machinery.
     perf:
         Optional :class:`~repro.perf.PerfCounters`; when given the network
         bumps the ``flow_*`` / ``reallocations`` / ``rate_recomputations``
         / ``flows_touched`` / ``components_refilled`` / ``wakes`` family
         plus the ``fill_*`` (bottleneck-cache) and ``wake_*`` (heap-pool)
         counters documented in :mod:`repro.perf`.
-    fill_cache:
-        Cache each component's bottleneck order and replay the verified
-        prefix on the next refill (incremental mode only; default on).
-    heap_pool:
-        Keep completion horizons in per-component heaps behind a component
-        index instead of one machine-wide heap (incremental mode only;
-        default on).  ``fill_cache=False, heap_pool=False`` is the PR-2
-        baseline regime the scale benchmark compares against.
     vectorized:
         Store each component's flows as contiguous numpy arrays and run
         filling, integration and horizon recomputation as array operations
         (:mod:`repro.simcore.fairshare_vec`).  Requires ``incremental``;
-        supersedes ``fill_cache``/``heap_pool`` (the arrays have their own
+        replaces the scalar cache and heap pool (the arrays have their own
         wake index, and replay caching is meaningless against a vector
         fill).  Completion ordering is always identical to the scalar
         incremental allocator; rates are exact where the scan order is
@@ -387,8 +377,7 @@ class FlowNetwork:
     """
 
     def __init__(self, sim: Simulator, incremental: bool = True,
-                 perf=None, fill_cache: bool = True, heap_pool: bool = True,
-                 vectorized: bool = False):
+                 perf=None, vectorized: bool = False):
         self.sim = sim
         self.incremental = bool(incremental)
         self.perf = perf
@@ -396,26 +385,18 @@ class FlowNetwork:
         if self.vectorized and not self.incremental:
             raise SimulationError(
                 "vectorized allocation requires incremental mode")
-        self.fill_cache = bool(fill_cache) and self.incremental \
-            and not self.vectorized
-        self.heap_pool = bool(heap_pool) and self.incremental \
-            and not self.vectorized
         if self.vectorized:
             from .fairshare_vec import VecEngine
             self._vec: Optional["VecEngine"] = VecEngine(self)
         else:
             self._vec = None
-        #: Whether the component registry (link -> _Component) is maintained.
-        self._registry = self.fill_cache or self.heap_pool or self.vectorized
         self._flows: Dict[FluidFlow, None] = {}
         self._seq = count()
         self._observers: List[Callable[[float, List[FluidFlow]], None]] = []
         self._in_reallocate = False
         #: Links awaiting a component refill.
         self._dirty: Dict[FluidLink, None] = {}
-        #: Flat-mode (and oracle-mode) completion-horizon heap.
-        self._heap: List[Tuple[float, int, int, FluidFlow]] = []
-        #: Pool-mode index heap of (next_wake, comp_seq, wake_gen, component).
+        #: Index heap of (next_wake, comp_seq, wake_gen, component).
         self._comp_index: List[Tuple[float, int, int, _Component]] = []
         self._comp_seq = count()
         self._ncomps = 0
@@ -946,14 +927,17 @@ class FlowNetwork:
         Yields ``(flows, links)`` per non-empty component: the flows sorted
         by registration order (keeping the filling's bottleneck tie-breaks
         and residual arithmetic identical to a whole-network fill) and the
-        visited link set.  Without the component registry (the flat
-        baseline) the link-set bookkeeping is skipped — nothing reads it.
+        visited link set.  The global oracle ignores the seeds: its one
+        component is every unpaused flow (``_flows`` is registration-ordered).
         Which seeds landed where is deliberately *not* tracked: cached-fill
         verification is input-based (recorded capacities and flows versus
         current), so dirty history carries no information it needs.
         """
-        if not self._registry:
-            return self._components_lean(seeds)
+        if not self.incremental:
+            flows = [f for f in self._flows if not f.paused]
+            if not flows:
+                return []
+            return [(flows, {link for f in flows for link in f.path})]
         visited: Set[FluidLink] = set()
         out = []
         for seed in seeds:
@@ -976,30 +960,6 @@ class FlowNetwork:
                             stack.append(other)
             if flows:
                 out.append((sorted(flows, key=lambda f: f._seq), links))
-        return out
-
-    def _components_lean(self, seeds: List[FluidLink]):
-        """The registry-free BFS: flows only (the historical walk)."""
-        visited: Set[FluidLink] = set()
-        out = []
-        for seed in seeds:
-            if seed in visited:
-                continue
-            visited.add(seed)
-            stack = [seed]
-            flows: Dict[FluidFlow, None] = {}
-            while stack:
-                link = stack.pop()
-                for f in link._active:
-                    if f in flows:
-                        continue
-                    flows[f] = None
-                    for other in f.path:
-                        if other not in visited:
-                            visited.add(other)
-                            stack.append(other)
-            if flows:
-                out.append((sorted(flows, key=lambda f: f._seq), None))
         return out
 
     def _finish_flow(self, f: FluidFlow, now: float) -> None:
@@ -1031,16 +991,13 @@ class FlowNetwork:
                 self._finish_flow(f, now)
             else:
                 live.append(f)
-        comp = self._resolve_component(links) if self._registry else None
+        comp = self._resolve_component(links)
         if not live:
-            if comp is not None:
-                comp.fill_slots.clear()
-                comp.nflows = 0
-                if self.heap_pool:
-                    self._reindex_component(comp)
+            comp.fill_slots.clear()
+            comp.nflows = 0
+            self._reindex_component(comp)
             return
-        use_cache = (self.fill_cache and comp is not None
-                     and self._cache_wants(comp, len(live)))
+        use_cache = self._cache_wants(comp, len(live))
         if use_cache and comp.fill_slots:
             self._fill_rates_cached(comp, live)
         else:
@@ -1049,7 +1006,7 @@ class FlowNetwork:
             if self.perf is not None and use_cache:
                 self.perf.bump("fill_cache_misses")
             self._fill_rates(live, record)
-            if comp is not None and record is not None:
+            if record is not None:
                 # Fills that bypass the cache (the adaptive cutover turned
                 # the component away) leave existing slots alone: each slot
                 # is verified against its own recorded inputs on replay,
@@ -1068,9 +1025,10 @@ class FlowNetwork:
         backs big ones off when the workload thrashes the cache, with a
         periodic probe so a bypassed component can re-qualify.  The choice
         only affects *how* rates are computed — replay is verified
-        bit-identical — so it never changes the physics.
+        bit-identical — so it never changes the physics.  The global oracle
+        never consults it.
         """
-        if nflows < _CACHE_ADAPTIVE_FLOOR:
+        if nflows < _CACHE_ADAPTIVE_FLOOR or not self.incremental:
             return False
         cutoff = (_CACHE_EWMA_CUTOFF if nflows >= _CACHE_MIN_FLOWS
                   else _CACHE_EWMA_OPTIN)
@@ -1083,37 +1041,18 @@ class FlowNetwork:
             return True
         return False
 
-    def _refill_global(self, now: float) -> None:
-        """The oracle: sync and re-price every flow, fresh."""
-        if self.perf is not None:
-            self.perf.bump("components_refilled")
-        live: List[FluidFlow] = []
-        for f in list(self._flows):
-            self._sync_flow(f, now)
-            if f.remaining <= _EPS_BYTES:
-                self._finish_flow(f, now)
-            elif not f.paused:
-                live.append(f)
-        if not live:
-            return
-        self._fill_rates(live)
-        self._push_horizons(live, now, None)
-
     def _push_horizons(self, live: List[FluidFlow], now: float,
-                       comp: Optional[_Component]) -> None:
+                       comp: _Component) -> None:
         """Invalidate old heap entries and push fresh completion horizons."""
-        use_pool = self.heap_pool and comp is not None
-        heap = comp.heap if use_pool else self._heap
+        heap = comp.heap
         for f in live:
             f._gen += 1
-            if comp is not None:
-                f._comp = comp
+            f._comp = comp
             if f.rate > 0:
                 when = now if math.isinf(f.rate) else now + f.remaining / f.rate
                 heapq.heappush(heap, (when, f._seq, f._gen, f))
-        if use_pool:
-            comp.nflows = len(live)
-            self._reindex_component(comp)
+        comp.nflows = len(live)
+        self._reindex_component(comp)
 
     def _reallocate(self) -> None:
         """Refill every dirty component, schedule the wake, notify observers."""
@@ -1130,11 +1069,9 @@ class FlowNetwork:
                     now = self.sim.now
                     if self._vec is not None:
                         self._vec.reallocate(seeds, now)
-                    elif self.incremental:
+                    else:
                         for flows, links in self._components(seeds):
                             self._refill_component(flows, links, now)
-                    else:
-                        self._refill_global(now)
                 self._schedule_next_wake()
                 if not self._observers:
                     break
@@ -1204,33 +1141,11 @@ class FlowNetwork:
             self._reindex_component(comp)
         return None
 
-    def _flat_next_horizon(self) -> Optional[float]:
-        """Earliest live completion horizon in the machine-wide heap."""
-        heap = self._heap
-        perf = self.perf
-        # Drop stale entries (flow re-priced, finished, paused or cancelled
-        # since the push) and compact the heap if garbage dominates.
-        while heap and heap[0][2] != heap[0][3]._gen:
-            heapq.heappop(heap)
-            if perf is not None:
-                perf.bump("wake_stale_pops")
-        if len(heap) > 64 and len(heap) > 4 * len(self._flows):
-            live = [e for e in heap if e[2] == e[3]._gen]
-            heap[:] = live
-            heapq.heapify(heap)
-            if perf is not None:
-                perf.bump("wake_compactions")
-        if not heap:
-            return None
-        return heap[0][0]
-
     def _schedule_next_wake(self) -> None:
         if self._vec is not None:
             target = self._vec.next_horizon()
-        elif self.heap_pool:
-            target = self._pool_next_horizon()
         else:
-            target = self._flat_next_horizon()
+            target = self._pool_next_horizon()
         if target is None:
             return
         now = self.sim.now
@@ -1271,38 +1186,29 @@ class FlowNetwork:
                 self._schedule_next_wake()
             return
         due: List[Tuple[float, int, FluidFlow]] = []
-        if self.heap_pool:
-            index = self._comp_index
-            touched: List[_Component] = []
-            while index and index[0][0] <= now:
-                _, _, gen, comp = heapq.heappop(index)
-                if not comp.alive or gen != comp.wake_gen:
-                    if perf is not None:
-                        perf.bump("wake_stale_pops")
-                    continue
-                touched.append(comp)
-                heap = comp.heap
-                while heap and heap[0][0] <= now:
-                    when, seq, fgen, f = heapq.heappop(heap)
-                    if fgen == f._gen and f._comp is comp:
-                        due.append((when, seq, f))
-                    elif perf is not None:
-                        perf.bump("wake_stale_pops")
-            # Re-arm drained components before anything reschedules: a
-            # shrunk component's untouched remainder keeps its future
-            # completions indexed even though this wake consumed its entry.
-            for comp in touched:
-                if comp.alive:
-                    self._reindex_component(comp)
-            due.sort()
-        else:
-            heap = self._heap
+        index = self._comp_index
+        touched: List[_Component] = []
+        while index and index[0][0] <= now:
+            _, _, gen, comp = heapq.heappop(index)
+            if not comp.alive or gen != comp.wake_gen:
+                if perf is not None:
+                    perf.bump("wake_stale_pops")
+                continue
+            touched.append(comp)
+            heap = comp.heap
             while heap and heap[0][0] <= now:
                 when, seq, fgen, f = heapq.heappop(heap)
-                if fgen == f._gen:
+                if fgen == f._gen and f._comp is comp:
                     due.append((when, seq, f))
                 elif perf is not None:
                     perf.bump("wake_stale_pops")
+        # Re-arm drained components before anything reschedules: a shrunk
+        # component's untouched remainder keeps its future completions
+        # indexed even though this wake consumed its entry.
+        for comp in touched:
+            if comp.alive:
+                self._reindex_component(comp)
+        due.sort()
         for _, _, f in due:
             self._sync_flow(f, now)
             self._mark_dirty(f.path)

@@ -1,4 +1,4 @@
-"""The per-event dispatch oracle for :class:`~repro.simcore.Simulator`.
+"""Bit-exact oracles kept beside the production simulation kernel.
 
 :class:`OracleSimulator` is the seed dispatch loop, kept as the
 cross-checked baseline of the batch core: every ``call_at`` schedules a
@@ -8,6 +8,14 @@ counter and pops in the same ``(time, insertion id)`` order as the batch
 core, so decision logs and finish times must come out identical — the
 equivalence tests and ``benchmarks/test_scale_sim.py`` construct it
 directly for that comparison.
+
+:class:`FreshFillFlowNetwork` is the reference for the bottleneck cache
+of :class:`~repro.simcore.fairshare.FlowNetwork`: the same components,
+wake-heap pool and integration, with every refill priced by a
+from-scratch progressive filling.  Cached replay is verified exact, so
+rates and completion times must come out identical (``==``) — the
+kernel tests and the churn gate of ``benchmarks/test_scale_kernel.py``
+construct it directly for that comparison.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from typing import Callable
 from .engine import Simulator
 from .errors import SimulationError
 from .events import Event
+from .fairshare import FlowNetwork
 
-__all__ = ["OracleSimulator"]
+__all__ = ["OracleSimulator", "FreshFillFlowNetwork"]
 
 
 class _EventTimer:
@@ -104,3 +113,11 @@ class OracleSimulator(Simulator):
         if not event._ok and not event._defused:
             # A failure nobody handled: abort the run loudly.
             raise event._value
+
+
+class FreshFillFlowNetwork(FlowNetwork):
+    """:class:`~repro.simcore.fairshare.FlowNetwork` that never consults
+    the bottleneck cache: every refill is a fresh progressive filling."""
+
+    def _cache_wants(self, comp, nflows: int) -> bool:
+        return False

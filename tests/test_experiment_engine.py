@@ -51,6 +51,13 @@ def test_platform_roundtrip_handles_infinity():
     for field in ("bogus", "sim_queue", "fill_cache_min_flows"):
         with pytest.raises(ValueError, match=field):
             platform_from_dict({**platform_to_dict(cfg), field: 1})
+    # ... and so do unknown allocators (the removed flat-heap regime
+    # included), naming the valid ones at load time.
+    for allocator in ("incremental-flat", "bogus"):
+        with pytest.raises(ValueError,
+                           match="'incremental', 'vectorized', 'global'"):
+            platform_from_dict({**platform_to_dict(cfg),
+                                "allocator": allocator})
 
 
 def test_platform_roundtrip_keeps_kernel_knobs():

@@ -1,12 +1,17 @@
 """Cross-checks of the bottleneck-incremental filling and wake-heap pool.
 
-The PR-5 kernel layers — cached bottleneck orders with verified prefix
-replay, and the per-component wake-heap pool behind the component
-registry — must be *pure* optimizations: bit-identical rates and
-completion times against the PR-2 incremental baseline
-(``FlowNetwork(sim, fill_cache=False, heap_pool=False)``) on any topology
-and any event sequence.  Equality here is exact (``==``), not approximate:
-a replayed step recomputes the same floats the fresh scan would.
+Cached bottleneck orders with verified prefix replay must be a *pure*
+optimization: bit-identical rates and completion times against the
+fresh-fill reference (:class:`~repro.simcore.oracle.FreshFillFlowNetwork`,
+the same kernel with the cache bypassed) on any topology and any event
+sequence.  Equality there is exact (``==``), not approximate: a replayed
+step recomputes the same floats the fresh scan would.
+
+The per-component wake-heap pool reshapes components on every merge and
+split; its regression tests also run the global oracle
+(``FlowNetwork(sim, incremental=False)``), whose one whole-network
+component never splits or merges, as a reshape-free wake cross-check
+within the 1e-9 tolerance of ``tests/test_fairshare_incremental.py``.
 """
 
 import math
@@ -14,9 +19,14 @@ import math
 import numpy as np
 import pytest
 
+import repro.platforms
 from repro.experiments import ExperimentEngine, build_scenario
 from repro.simcore import FluidLink, FlowNetwork, Simulator
+from repro.simcore.oracle import FreshFillFlowNetwork
 from repro.perf import PerfCounters
+
+#: The global oracle's agreement with the per-component kernel.
+GLOBAL_TOL = dict(rel=1e-9, abs=1e-9)
 
 HORIZON = 400.0
 
@@ -52,10 +62,11 @@ def _random_script(seed: int, nlinks: int = 5, nflows: int = 48,
     return capacities, starts, events
 
 
-def _run_script(capacities, starts, events, **net_kwargs):
+def _run_script(capacities, starts, events, net_cls=FlowNetwork,
+                **net_kwargs):
     """Execute one script; returns per-flow (finish, remaining, rate)."""
     sim = Simulator()
-    net = FlowNetwork(sim, **net_kwargs)
+    net = net_cls(sim, **net_kwargs)
     links = [FluidLink(float(c), f"l{j}") for j, c in enumerate(capacities)]
     flows = {}
 
@@ -90,10 +101,11 @@ def _run_script(capacities, starts, events, **net_kwargs):
 
 @pytest.mark.parametrize("seed", range(14))
 def test_cached_fill_matches_baseline_exactly(seed):
-    """Same script, cache+pool vs the PR-2 baseline: bit-identical state."""
+    """Same script, cached kernel vs the fresh-fill reference:
+    bit-identical state."""
     script = _random_script(seed)
-    cached = _run_script(*script, fill_cache=True, heap_pool=True)
-    baseline = _run_script(*script, fill_cache=False, heap_pool=False)
+    cached = _run_script(*script)
+    baseline = _run_script(*script, net_cls=FreshFillFlowNetwork)
     assert cached.keys() == baseline.keys()
     for idx in cached:
         a, b = cached[idx], baseline[idx]
@@ -105,22 +117,6 @@ def test_cached_fill_matches_baseline_exactly(seed):
                 assert math.isnan(x) and math.isnan(y), (idx, what, x, y)
             else:
                 assert x == y, f"flow {idx} {what}: cached={x!r} baseline={y!r}"
-
-
-@pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize("feature",
-                         [{"fill_cache": True, "heap_pool": False},
-                          {"fill_cache": False, "heap_pool": True}])
-def test_each_layer_is_independently_exact(seed, feature):
-    """Cache-only and pool-only must each match the baseline bit for bit."""
-    script = _random_script(seed)
-    solo = _run_script(*script, **feature)
-    baseline = _run_script(*script, fill_cache=False, heap_pool=False)
-    assert solo == baseline or all(
-        (a == b or (a is not None and b is not None
-                    and all((x == y or (math.isnan(x) and math.isnan(y)))
-                            for x, y in zip(a, b))))
-        for a, b in zip(solo.values(), baseline.values()))
 
 
 def test_cache_counters_report_hits_and_partial_refills():
@@ -153,9 +149,9 @@ def test_cache_counters_report_hits_and_partial_refills():
 def test_component_registry_survives_merge_and_split():
     """A bridge flow unions two components; its end splits them again —
     with every completion firing exactly once at the baseline time."""
-    def run(**net_kwargs):
+    def run(net_cls=FlowNetwork, **net_kwargs):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = net_cls(sim, **net_kwargs)
         left = FluidLink(100.0, "left")
         right = FluidLink(100.0, "right")
         fires = []
@@ -182,10 +178,12 @@ def test_component_registry_survives_merge_and_split():
         sim.run()
         return [f.finish_time for f in flows], fires
 
-    times_cached, fires_cached = run(fill_cache=True, heap_pool=True)
-    times_base, fires_base = run(fill_cache=False, heap_pool=False)
+    times_cached, fires_cached = run()
+    times_base, fires_base = run(FreshFillFlowNetwork)
+    times_glob, fires_glob = run(incremental=False)
     assert times_cached == times_base
-    assert sorted(fires_cached) == sorted(fires_base)
+    assert times_cached == pytest.approx(times_glob, **GLOBAL_TOL)
+    assert sorted(fires_cached) == sorted(fires_base) == sorted(fires_glob)
     assert len(fires_cached) == len(set(fires_cached))  # exactly once each
 
 
@@ -194,9 +192,9 @@ def test_cancel_mid_refill_leaves_no_stale_wake_for_detached_component():
     component is mid-refill — from an observer running inside the
     reallocation loop — must not leave a heap entry that fires for a
     detached component or double-completes a migrated flow."""
-    def run(**net_kwargs):
+    def run(net_cls=FlowNetwork, **net_kwargs):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = net_cls(sim, **net_kwargs)
         left = FluidLink(100.0, "left")
         right = FluidLink(100.0, "right")
         flows = [net.start_flow(500.0 + 5 * i, [left], cap=20.0 + i)
@@ -226,19 +224,22 @@ def test_cancel_mid_refill_leaves_no_stale_wake_for_detached_component():
         sim.run()
         return [f.finish_time for f in flows], state
 
-    times_cached, state_cached = run(fill_cache=True, heap_pool=True)
-    times_base, state_base = run(fill_cache=False, heap_pool=False)
+    times_cached, state_cached = run()
+    times_base, state_base = run(FreshFillFlowNetwork)
+    times_glob, state_glob = run(incremental=False)
     assert times_cached == times_base
+    assert times_cached == pytest.approx(times_glob, **GLOBAL_TOL)
     # The cancelled flow's event fired exactly once (the cancellation),
     # never again from a stale wake of a dead component.
-    assert state_cached["fired"] == 1 == state_base["fired"]
+    assert state_cached["fired"] == 1 == state_base["fired"] \
+        == state_glob["fired"]
     assert all(not math.isnan(t) for t in times_cached)  # all completed
 
 
 def test_pause_mid_refill_is_exact_and_resumable():
-    def run(**net_kwargs):
+    def run(net_cls=FlowNetwork, **net_kwargs):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = net_cls(sim, **net_kwargs)
         link = FluidLink(200.0)
         flows = [net.start_flow(800.0 + 7 * i, [link], cap=15.0 + i)
                  for i in range(10)]
@@ -254,8 +255,9 @@ def test_pause_mid_refill_is_exact_and_resumable():
         sim.run()
         return [f.finish_time for f in flows]
 
-    assert run(fill_cache=True, heap_pool=True) == \
-        run(fill_cache=False, heap_pool=False)
+    times = run()
+    assert times == run(FreshFillFlowNetwork)
+    assert times == pytest.approx(run(incremental=False), **GLOBAL_TOL)
 
 
 def test_cache_survives_a_transient_bridge():
@@ -264,26 +266,35 @@ def test_cache_survives_a_transient_bridge():
     a forwarding address, not membership) — otherwise the halves steal one
     shared component back and forth, wiping each other's fill cache on
     every refill."""
-    perf = PerfCounters()
-    sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf)
-    a, b = FluidLink(1e9, "a"), FluidLink(1e9, "b")
-    for j in range(10):
-        net.start_flow(2e4, [a], cap=100.0 + j)
-        net.start_flow(2e4, [b], cap=100.0 + j)
-    net.start_flow(500.0, [a, b], cap=500.0, label="bridge")  # ends early
+    def run(net_cls=FlowNetwork, **net_kwargs):
+        perf = PerfCounters()
+        sim = Simulator(perf=perf)
+        net = net_cls(sim, perf=perf, **net_kwargs)
+        a, b = FluidLink(1e9, "a"), FluidLink(1e9, "b")
+        flows = []
+        for j in range(10):
+            flows.append(net.start_flow(2e4, [a], cap=100.0 + j))
+            flows.append(net.start_flow(2e4, [b], cap=100.0 + j))
+        flows.append(net.start_flow(500.0, [a, b], cap=500.0,
+                                    label="bridge"))  # ends early
 
-    def burst(i, link):
-        yield sim.timeout(0.05 * i)
-        for k in range(6):
-            f = net.start_flow(300.0, [link], cap=900.0 + i + k)
-            yield f.done
-            yield sim.timeout(0.1)
+        def burst(i, link):
+            yield sim.timeout(0.05 * i)
+            for k in range(6):
+                f = net.start_flow(300.0, [link], cap=900.0 + i + k)
+                flows.append(f)
+                yield f.done
+                yield sim.timeout(0.1)
 
-    for i in range(5):
-        sim.process(burst(i, a))
-        sim.process(burst(i, b))
-    sim.run()
+        for i in range(5):
+            sim.process(burst(i, a))
+            sim.process(burst(i, b))
+        sim.run()
+        return [f.finish_time for f in flows], perf, a, b
+
+    times, perf, a, b = run()
+    assert times == run(FreshFillFlowNetwork)[0]
+    assert times == pytest.approx(run(incremental=False)[0], **GLOBAL_TOL)
     refills = (perf.get("fill_cache_hits") + perf.get("fill_partial_refills")
                + perf.get("fill_cache_misses"))
     assert perf.get("fill_cache_hits") > 0.3 * refills, perf.as_dict()
@@ -298,9 +309,9 @@ def test_merge_must_not_drop_a_stale_pointer_remainders_wake():
     are fully absorbed by a merge can still hold another region's live
     heap entries.  Retiring it (or keeping it dead when stale pointers
     bring it back as the keeper) silently drops those completions."""
-    def run(**net_kwargs):
+    def run(net_cls=FlowNetwork, **net_kwargs):
         sim = Simulator()
-        net = FlowNetwork(sim, **net_kwargs)
+        net = net_cls(sim, **net_kwargs)
         c_sat, c_main = FluidLink(100.0, "c_sat"), FluidLink(100.0, "c_main")
         d_sat, d_main = FluidLink(100.0, "d_sat"), FluidLink(100.0, "d_main")
         # One component per family via a bridge; cancelling the bridge
@@ -329,9 +340,9 @@ def test_merge_must_not_drop_a_stale_pointer_remainders_wake():
         sim.run()
         return [f.finish_time for f in (ca, cb, da, db)]
 
-    times_pool = run(fill_cache=True, heap_pool=True)
-    times_flat = run(fill_cache=False, heap_pool=False)
-    assert times_pool == times_flat
+    times_pool = run()
+    assert times_pool == run(FreshFillFlowNetwork)
+    assert times_pool == pytest.approx(run(incremental=False), **GLOBAL_TOL)
     assert all(not math.isnan(t) for t in times_pool)
 
 
@@ -346,10 +357,10 @@ def test_capacity_wiggle_restores_matching_slot():
     flip, because the changed link gates the whole bottleneck order."""
     from repro.simcore.fairshare import _CACHE_SLOTS
 
-    def run(**net_kwargs):
+    def run(net_cls=FlowNetwork):
         perf = PerfCounters()
         sim = Simulator(perf=perf)
-        net = FlowNetwork(sim, perf=perf, **net_kwargs)
+        net = net_cls(sim, perf=perf)
         server = FluidLink(100.0, "server")
         # Equal, uncapped flows: the link is the only bottleneck, so any
         # capacity change invalidates the entire cached order — unless a
@@ -368,8 +379,8 @@ def test_capacity_wiggle_restores_matching_slot():
         sim.run()
         return [f.finish_time for f in flows], perf, server, ramp_misses[0]
 
-    times, perf, server, ramp = run(fill_cache=True, heap_pool=True)
-    base_times, _, _, _ = run(fill_cache=False, heap_pool=False)
+    times, perf, server, ramp = run()
+    base_times, _, _, _ = run(FreshFillFlowNetwork)
     assert times == base_times
     assert all(not math.isnan(t) for t in times)
     # Past the ramp-up, only the first fill of each vector misses; every
@@ -395,10 +406,9 @@ def test_wiggle_script_with_churn_matches_baseline_exactly():
             "capacity": float(capacities[0] * (0.8 if k % 2 == 0 else 1.0)),
         })
     perf = PerfCounters()
-    cached = _run_script(capacities, starts, events,
-                         fill_cache=True, heap_pool=True, perf=perf)
+    cached = _run_script(capacities, starts, events, perf=perf)
     baseline = _run_script(capacities, starts, events,
-                           fill_cache=False, heap_pool=False)
+                           net_cls=FreshFillFlowNetwork)
     for idx in cached:
         a, b = cached[idx], baseline[idx]
         if a is None or b is None:
@@ -447,68 +457,85 @@ def test_bypassed_fill_keeps_slots_for_the_cohorts_return():
 # Full-stack equivalence on the high-churn scenarios
 # ---------------------------------------------------------------------------
 
+def _run_regimes(engine, monkeypatch, scenario, **kwargs):
+    """One scenario under the cached kernel, the fresh-fill reference
+    (substituted for the platform's network) and the global oracle."""
+    results = {}
+    for allocator in ("incremental", "global"):
+        spec = build_scenario(scenario, allocator=allocator, **kwargs)[0]
+        results[allocator] = engine.run(spec)
+    with monkeypatch.context() as m:
+        m.setattr(repro.platforms, "FlowNetwork", FreshFillFlowNetwork)
+        spec = build_scenario(scenario, allocator="incremental", **kwargs)[0]
+        results["fresh-fill"] = engine.run(spec)
+    return results
+
+
 @pytest.mark.parametrize("scenario,kwargs", [
     ("checkpoint-waves", dict(napps=30, nservers=6, ncohorts=3, phases=2,
                               bridge_every=4)),
     ("read-write-mix", dict(napps=18, nservers=6, phases=4)),
 ])
-def test_scenarios_identical_across_kernel_regimes(scenario, kwargs):
-    """checkpoint-waves / read-write-mix: the cached kernel, the PR-2
-    baseline and the global oracle all tell the same story."""
-    engine = ExperimentEngine()
-    results = {}
-    for allocator in ("incremental", "incremental-flat", "global"):
-        spec = build_scenario(scenario, allocator=allocator, **kwargs)[0]
-        results[allocator] = engine.run(spec)
+def test_scenarios_identical_across_kernel_regimes(scenario, kwargs,
+                                                   monkeypatch):
+    """checkpoint-waves / read-write-mix: the cached kernel, the fresh-fill
+    reference and the global oracle all tell the same story."""
+    results = _run_regimes(ExperimentEngine(), monkeypatch, scenario,
+                           **kwargs)
     rec_inc = results["incremental"].records
-    rec_flat = results["incremental-flat"].records
+    rec_fresh = results["fresh-fill"].records
     rec_glob = results["global"].records
-    assert rec_inc.keys() == rec_flat.keys() == rec_glob.keys()
+    assert rec_inc.keys() == rec_fresh.keys() == rec_glob.keys()
     for name in rec_inc:
-        # Cache + pool vs flat baseline: exact.
-        assert rec_inc[name].write_times == rec_flat[name].write_times, name
-        # vs the eager-free global oracle: float-chunking tolerance.
+        # Cached vs fresh-fill reference: exact.
+        assert rec_inc[name].write_times == rec_fresh[name].write_times, name
+        # vs the global oracle: float-chunking tolerance.
         assert rec_inc[name].write_times == pytest.approx(
             rec_glob[name].write_times, rel=1e-9), name
-    assert results["incremental"].makespan == results["incremental-flat"].makespan
+    assert results["incremental"].makespan == results["fresh-fill"].makespan
     assert results["incremental"].makespan == pytest.approx(
         results["global"].makespan, rel=1e-9)
 
 
-def test_scenario_equivalence_is_stable_across_allocation_layouts():
+def test_scenario_equivalence_is_stable_across_allocation_layouts(
+        monkeypatch):
     """Component-registry identity decisions iterate sets of links (id
     ordering), so layout-dependent bugs only show up under shifted heap
     addresses.  Re-run the read-write-mix regime comparison under a few
     deliberately shifted allocation patterns (this sweep caught the
-    dead-component wake-loss bug the targeted test above pins down)."""
+    dead-component wake-loss bug the targeted test above pins down).  The
+    fresh-fill reference reshapes components exactly like the cached
+    kernel, so the global oracle's single never-reshaped component is the
+    cross-check that would catch a lost wake."""
     import random
     engine = ExperimentEngine()
     rng = random.Random(1234)
     for _ in range(5):
         ballast = [object() for _ in range(rng.randrange(10000))]  # noqa: F841
-        results = {}
-        for allocator in ("incremental", "incremental-flat"):
-            spec = build_scenario("read-write-mix", napps=18, nservers=6,
-                                  phases=4, allocator=allocator)[0]
-            results[allocator] = engine.run(spec)
+        results = _run_regimes(engine, monkeypatch, "read-write-mix",
+                               napps=18, nservers=6, phases=4)
         rec_inc = results["incremental"].records
-        rec_flat = results["incremental-flat"].records
+        rec_fresh = results["fresh-fill"].records
+        rec_glob = results["global"].records
         for name in rec_inc:
-            assert rec_inc[name].write_times == rec_flat[name].write_times, name
+            assert rec_inc[name].write_times == \
+                rec_fresh[name].write_times, name
+            assert rec_inc[name].write_times == pytest.approx(
+                rec_glob[name].write_times, **GLOBAL_TOL), name
 
 
 # ---------------------------------------------------------------------------
 # Adaptive fill-cache cutover (per-component replay-score EWMA)
 # ---------------------------------------------------------------------------
 
-def test_adaptive_cutover_matches_flat_baseline_exactly():
-    """The adaptive cutover must yield physics bit-identical to the flat
-    baseline: the policy only picks *how* rates are computed, and replay
-    is verified exact."""
+def test_adaptive_cutover_matches_fresh_fill_exactly():
+    """The adaptive cutover must yield physics bit-identical to the
+    fresh-fill reference: the policy only picks *how* rates are computed,
+    and replay is verified exact."""
     for seed in (3, 9, 21):
         script = _random_script(seed)
-        adaptive = _run_script(*script, fill_cache=True, heap_pool=True)
-        baseline = _run_script(*script, fill_cache=False, heap_pool=False)
+        adaptive = _run_script(*script)
+        baseline = _run_script(*script, net_cls=FreshFillFlowNetwork)
         for idx in adaptive:
             a, b = adaptive[idx], baseline[idx]
             if a is None or b is None:
@@ -528,7 +555,7 @@ def test_adaptive_floor_gates_small_components():
     def run(nflows):
         perf = PerfCounters()
         sim = Simulator(perf=perf)
-        net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
+        net = FlowNetwork(sim, perf=perf)
         server = FluidLink(1e9, "server")
         # Capped flows on an unsaturated link: cap steps replay across
         # membership changes, so the drain produces genuine cache hits.
@@ -559,7 +586,7 @@ def test_adaptive_backs_off_when_replay_never_pays():
 
     perf = PerfCounters()
     sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
+    net = FlowNetwork(sim, perf=perf)
     server = FluidLink(100.0, "server")
     flows = [net.start_flow(1e6, [server]) for _ in range(12)]
     ramp = perf.get("fill_cache_misses")  # cold ramp-up misses, unscored
@@ -593,7 +620,7 @@ def test_adaptive_stays_on_for_replayable_workload():
 
     perf = PerfCounters()
     sim = Simulator(perf=perf)
-    net = FlowNetwork(sim, perf=perf, fill_cache=True, heap_pool=True)
+    net = FlowNetwork(sim, perf=perf)
     server = FluidLink(1e9, "server")
     # Capped flows on an unsaturated link: cap steps replay across both
     # the ramp (partials) and the staggered drain (hits) — input drift

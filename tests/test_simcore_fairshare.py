@@ -201,6 +201,10 @@ def test_invalid_parameters_rejected():
         net.start_flow(1.0, [link], cap=0.0)
     with pytest.raises(SimulationError):
         FluidLink(0.0)
+    # One scalar kernel: the removed regime switches fail loudly.
+    for removed in ("fill_cache", "heap_pool"):
+        with pytest.raises(TypeError):
+            FlowNetwork(sim, **{removed: False})
 
 
 def test_link_rate_reports_aggregate():
