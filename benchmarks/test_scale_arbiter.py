@@ -15,7 +15,7 @@ the benchmark
   scenarios through the full experiment engine,
 * measures the decision-loop speedup via the ``coord_seconds`` perf
   counter (>= 5x asserted at 500 applications), and
-* persists a machine-readable record to
+* persists (under ``REPRO_BENCH_RECORD=1``) a machine-readable record to
   ``benchmarks/results/BENCH_arbiter.json`` (gated against regressions by
   ``benchmarks/check_perf_regression.py`` in CI).
 
@@ -24,10 +24,8 @@ Reduced configurations for CI smoke runs come from the environment:
 The >= 5x assertion only applies at full scale (>= 500 applications).
 """
 
-import json
 import math
 import os
-import pathlib
 
 import numpy as np
 
@@ -35,8 +33,6 @@ from repro.core import AccessDescriptor, Arbiter
 from repro.experiments import ExperimentEngine, build_scenario
 from repro.perf import PerfCounters
 from repro.simcore import Simulator
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(int(s) for s in
                os.environ.get("SCALE_ARBITER_APPS", "100,500,1000").split(","))
@@ -119,7 +115,7 @@ def _perf_record(perf: dict) -> dict:
             for k in keys if k in perf}
 
 
-def test_scale_arbiter_speedup_and_equivalence(report):
+def test_scale_arbiter_speedup_and_equivalence(report, bench_json):
     """Indexed/batched arbiter >= 5x cheaper at 500 apps, same decisions."""
     scales = {}
     lines = ["scale arbiter benchmark "
@@ -161,9 +157,7 @@ def test_scale_arbiter_speedup_and_equivalence(report):
                    "full_scale": full_scale},
         "scales": scales,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_arbiter.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    bench_json("BENCH_arbiter", record)
 
     floor = "5x at >= 500 apps" if full_scale else "none — reduced config"
     lines.append(f"  floor: {floor}")

@@ -11,7 +11,7 @@ under both allocators; the benchmark
   allocator is a pure optimization, not an approximation),
 * measures the wall-clock speedup (expected well above the 5x floor at
   full scale), and
-* persists a machine-readable perf record to
+* persists (under ``REPRO_BENCH_RECORD=1``) a machine-readable perf record to
   ``benchmarks/results/BENCH_kernel.json`` (see the README's "Performance
   instrumentation" section for how to read it).
 
@@ -33,10 +33,8 @@ assertions only apply at full scale (>= 200 / >= 500 applications);
 reduced runs assert correctness and record whatever speedup they see.
 """
 
-import json
 import math
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -45,8 +43,6 @@ from repro.perf import PerfCounters
 from repro.simcore import FluidLink, FlowNetwork, Simulator
 from repro.simcore.oracle import FreshFillFlowNetwork
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 NAPPS = int(os.environ.get("SCALE_KERNEL_APPS", "200"))
 NSERVERS = int(os.environ.get("SCALE_KERNEL_SERVERS", "40"))
 NFLOWS = int(os.environ.get("SCALE_KERNEL_FLOWS", "4"))
@@ -54,20 +50,6 @@ CHURN_APPS = tuple(
     int(s) for s in
     os.environ.get("SCALE_KERNEL_CHURN_APPS", "500,1000").split(","))
 SEED = 20140519  # the paper's conference date; any fixed seed works
-
-
-def _merge_bench_kernel(update: dict) -> None:
-    """Merge ``update`` into BENCH_kernel.json (tests run in any order)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_kernel.json"
-    record = {}
-    if path.exists():
-        try:
-            record = json.loads(path.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _workload(napps: int, nflows: int, seed: int):
@@ -115,7 +97,7 @@ def _run_kernel(incremental: bool, napps: int = NAPPS, nservers: int = NSERVERS,
     return wall, finish_times, perf.as_dict()
 
 
-def test_scale_kernel_speedup_and_equivalence(report):
+def test_scale_kernel_speedup_and_equivalence(report, bench_json):
     """200-app trace-shaped workload: incremental >= 5x faster, same physics."""
     wall_inc, times_inc, perf_inc = _run_kernel(incremental=True)
     wall_glob, times_glob, perf_glob = _run_kernel(incremental=False)
@@ -146,7 +128,7 @@ def test_scale_kernel_speedup_and_equivalence(report):
         },
         "identical_completion_times": True,
     }
-    _merge_bench_kernel(record)
+    bench_json("BENCH_kernel", record, merge=True)
 
     report("BENCH_kernel", "\n".join([
         "scale kernel benchmark "
@@ -240,7 +222,7 @@ def _run_churn_kernel(cached: bool, napps: int, seed: int = SEED):
     return wall, finish_times, perf.as_dict()
 
 
-def test_scale_kernel_churn_speedup_and_equivalence(report):
+def test_scale_kernel_churn_speedup_and_equivalence(report, bench_json):
     """High-churn components: cached bottleneck order >= 2x the fresh-fill
     baseline at full scale, with exactly identical completion times."""
     scales = {}
@@ -285,7 +267,7 @@ def test_scale_kernel_churn_speedup_and_equivalence(report):
         "scales": scales,
         "identical_completion_times": True,
     }
-    _merge_bench_kernel({"churn": record})
+    bench_json("BENCH_kernel", {"churn": record}, merge=True)
     report("BENCH_kernel_churn", "\n".join(lines))
     if full_scale:
         for napps, entry in scales.items():
@@ -363,7 +345,7 @@ def _run_hyper_kernel(vectorized: bool, nflows: int):
     return wall, np.array([f.finish_time for f in flows]), perf.as_dict()
 
 
-def test_scale_kernel_hyperscale_speedup_and_equivalence(report):
+def test_scale_kernel_hyperscale_speedup_and_equivalence(report, bench_json):
     """Vectorized SoA kernel >= 5x the incremental oracle at 10^6 flows,
     with bit-identical completion times (single-link, no caps: the scan
     order is deterministic, so the equivalence contract promises
@@ -410,7 +392,7 @@ def test_scale_kernel_hyperscale_speedup_and_equivalence(report):
         "scales": scales,
         "identical_completion_times": True,
     }
-    _merge_bench_kernel({"hyperscale": record})
+    bench_json("BENCH_kernel", {"hyperscale": record}, merge=True)
     report("BENCH_kernel_hyperscale", "\n".join(lines))
     largest = str(max(VEC_SCALES))
     if full_scale:

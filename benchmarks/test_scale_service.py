@@ -14,7 +14,7 @@ per client count:
   (full canonical-JSON string equality) to the in-process reference at
   every scale.
 
-Persists a machine-readable record to
+Persists (under ``REPRO_BENCH_RECORD=1``) a machine-readable record to
 ``benchmarks/results/BENCH_service.json`` (gated against regressions by
 ``benchmarks/check_perf_regression.py --kind service`` in CI).
 
@@ -35,16 +35,12 @@ Reduced configurations for CI smoke runs come from the environment:
 """
 
 import asyncio
-import json
 import os
-import pathlib
 
 from repro.experiments import build_scenario
 from repro.service.loadgen import run_service_benchmark
 from repro.service.protocol import decisions_to_json
 from repro.service.trace import record_trace
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 CLIENTS = tuple(int(s) for s in
                 os.environ.get("SCALE_SERVICE_CLIENTS", "1,4,8").split(","))
@@ -61,7 +57,7 @@ CODEC_PIPELINE = 64
 CODEC_REPEATS = 3
 
 
-def test_scale_service_throughput_and_equivalence(report):
+def test_scale_service_throughput_and_equivalence(report, bench_json):
     """Over-the-wire replay: bit-identical logs, sustained decision rate."""
     spec, = build_scenario("service-many-writers", napps=NAPPS,
                            nservers=NSERVERS, phases=PHASES, seed=SEED,
@@ -148,9 +144,7 @@ def test_scale_service_throughput_and_equivalence(report):
         "scales": scales,
         "codec": codec,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_service.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    bench_json("BENCH_service", record)
 
     lines.append("  gate: speedup collapse vs committed record "
                  "(check_perf_regression --kind service)")

@@ -20,7 +20,7 @@ The benchmark
 * measures the decision-loop cost (``coord_seconds``) of the same offered
   workload under 1 / 4 / 8 shards at 500 / 1000 / 2000 applications
   (>= 3x asserted at 1000 applications / 8 shards), and
-* persists a machine-readable record to
+* persists (under ``REPRO_BENCH_RECORD=1``) a machine-readable record to
   ``benchmarks/results/BENCH_shard.json`` (gated against regressions by
   ``benchmarks/check_perf_regression.py --kind shard`` in CI).
 
@@ -49,10 +49,8 @@ the algorithmic regime, >= 2000 for the wall-clock regime).
 """
 
 import gc
-import json
 import math
 import os
-import pathlib
 
 import numpy as np
 
@@ -62,8 +60,6 @@ from repro.core import (
 from repro.perf import PerfCounters
 from repro.service.protocol import decisions_to_json
 from repro.simcore import Simulator
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(int(s) for s in
                os.environ.get("SCALE_SHARD_APPS", "500,1000,2000").split(","))
@@ -260,7 +256,7 @@ def test_single_shard_router_is_the_arbiter():
     assert perf_one["coord_decisions"] == perf_arb["coord_decisions"]
 
 
-def test_scale_shards_speedup(report):
+def test_scale_shards_speedup(report, bench_json):
     """Sharded decision loop >= 3x cheaper at 1000 apps / 8 shards."""
     scales = {}
     lines = ["scale shard benchmark "
@@ -355,9 +351,7 @@ def test_scale_shards_speedup(report):
         "process": process,
         "codec": codec,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_shard.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    bench_json("BENCH_shard", record)
 
     floor = ("3x at >= 1000 apps / 8 shards" if full_scale
              else "none — reduced config")

@@ -26,7 +26,7 @@ oracle (``OracleSimulator``); the benchmark
 * measures the dispatch-loop speedup of the batch core over the
   retained oracle (expected >= 3x combined at the full 10^6-event
   scale), and
-* persists a machine-readable record to
+* persists (under ``REPRO_BENCH_RECORD=1``) a machine-readable record to
   ``benchmarks/results/BENCH_sim.json`` (gated in CI by
   ``check_perf_regression --kind sim``).
 
@@ -38,18 +38,14 @@ reduced runs assert correctness and record whatever speedup they see.
 """
 
 import gc
-import json
 import math
 import os
-import pathlib
 import time
 
 import numpy as np
 
 from repro.perf import PerfCounters
 from repro.simcore import OracleSimulator, Simulator
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALES = tuple(
     int(s) for s in
@@ -64,20 +60,6 @@ WAVE_DEPTH = 4     # delay-0 chain depth under each completion
 
 #: The batch core and the per-event oracle it is timed against.
 SIMULATORS = {"heap": Simulator, "oracle": OracleSimulator}
-
-
-def _merge_bench_sim(update: dict) -> None:
-    """Merge ``update`` into BENCH_sim.json (tests run in any order)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_sim.json"
-    record = {}
-    if path.exists():
-        try:
-            record = json.loads(path.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +216,7 @@ def test_scale_sim_backends_dispatch_identically():
             f"{workload}: batch core diverged from the oracle")
 
 
-def test_scale_sim_dispatch_speedup(report):
+def test_scale_sim_dispatch_speedup(report, bench_json):
     """Batch dispatcher >= 3x the heap oracle at 10^6 events (combined
     over both workloads)."""
     scales = {}
@@ -301,7 +283,7 @@ def test_scale_sim_dispatch_speedup(report):
         "scales": scales,
         "identical_decision_logs": True,
     }
-    _merge_bench_sim({"dispatch": record})
+    bench_json("BENCH_sim", {"dispatch": record}, merge=True)
     report("BENCH_sim_dispatch", "\n".join(lines))
     largest = str(max(SCALES))
     if full_scale:

@@ -70,9 +70,6 @@ counter                    meaning
 ``vec_cap_batches``        fill steps that fixed a batch of per-flow caps in
                            one masked vector operation instead of one cap
                            per scan as the scalar loop does
-``vec_rate_writebacks``    per-flow rate writebacks from component arrays to
-                           flow objects after a refill (only rows whose rate
-                           actually changed are written)
 ``io_requests``            requests admitted by storage servers
 ``pfs_writes``/``reads``   file-system level operations
 ``timeseries_samples``     monitor samples recorded
@@ -194,9 +191,11 @@ class PerfCounters:
         self._counts.clear()
 
     def merge(self, other: Mapping[str, float]) -> None:
-        """Add another snapshot's counts into this bag."""
+        """Add another snapshot's counts into this bag (one call for many
+        counters: hot loops tally locally and flush through here)."""
+        counts = self._counts
         for name, value in other.items():
-            self.bump(name, value)
+            counts[name] = counts.get(name, 0) + value
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -89,7 +89,9 @@ For the 10^6-flow regime, ``FlowNetwork(sim, vectorized=True)``
 inner loops for the structure-of-arrays backend in
 :mod:`repro.simcore.fairshare_vec`: per-component numpy arrays, masked
 array reductions for whole fill steps, fused ``rates * dt`` integration
-and array horizon recomputation, with completion ordering always
+and array horizon recomputation, flows held as array rows behind light
+:class:`~repro.simcore.fairshare_vec.VecFlow` handles that are admitted
+and completed in batches, with completion ordering always
 identical to the scalar incremental allocator (exact rates where the
 scan order is deterministic, ulp-bounded otherwise — see that module's
 docstring for the contract and ``start_flows`` for the batch-start API
@@ -117,6 +119,11 @@ _EPS_BYTES = 1e-6
 #: ``FluidFlow._outcome`` sentinel: the flow has not completed or been
 #: cancelled yet (distinguishes "running" from "cancelled with value None").
 _UNFINISHED = object()
+
+#: ``FluidFlow._outcome`` sentinel: the flow completed (its ``done`` value
+#: is the flow itself).  Storing the flow there instead would make every
+#: finished flow a reference cycle that only the cyclic collector frees.
+_FINISHED = object()
 
 #: Relative margin for replayed-step verification against links whose
 #: unfixed-weight sum is maintained incrementally (exact left-to-right
@@ -157,6 +164,12 @@ _CACHE_PROBE_PERIOD = 32
 #: the order recorded for the *matching* vector instead of invalidating the
 #: only cache on every flip.
 _CACHE_SLOTS = 4
+
+
+def _request(size: float, path: Iterable["FluidLink"], weight: float = 1.0,
+             cap: Optional[float] = None, label: str = "flow") -> tuple:
+    """One ``start_flows`` request dict as a tuple (start_flow's defaults)."""
+    return size, path, weight, cap, label
 
 
 class FluidLink:
@@ -274,9 +287,10 @@ class FluidFlow:
         ev = self._done
         if ev is None:
             ev = Event(self._sim)
-            if self._outcome is not _UNFINISHED:
+            outcome = self._outcome
+            if outcome is not _UNFINISHED:
                 ev._ok = True
-                ev._value = self._outcome
+                ev._value = self if outcome is _FINISHED else outcome
                 ev.callbacks = None
             self._done = ev
         return ev
@@ -435,15 +449,21 @@ class FlowNetwork:
             flow.finish_time = self.sim.now
             if self.perf is not None:
                 self.perf.bump("flow_completions")
-            flow._outcome = flow
+            flow._outcome = _FINISHED
             return flow
         self._flows[flow] = None
         for link in flow.path:
             link._active[flow] = None
-        if self._vec is not None:
-            self._vec.touch(flow.path, flow)
         self._mark_dirty(flow.path)
         return flow
+
+    def _start_cohort(self, requests) -> List[FluidFlow]:
+        """Admit ``(size, path, weight, cap, label)`` requests on a
+        vectorized network as one cohort, with one reallocation."""
+        flows, nlive = self._vec.admit(requests, self.sim.now)
+        if nlive:
+            self._reallocate()
+        return flows
 
     def start_flow(self, size: float, path: Iterable[FluidLink],
                    weight: float = 1.0, cap: Optional[float] = None,
@@ -451,8 +471,11 @@ class FlowNetwork:
         """Begin transferring ``size`` bytes across ``path``.
 
         Returns the flow; its ``done`` event triggers on completion.  A
-        zero-byte flow completes immediately (at the current time).
+        zero-byte flow completes immediately (at the current time).  On a
+        vectorized network this is a cohort of one.
         """
+        if self._vec is not None:
+            return self._start_cohort(((size, path, weight, cap, label),))[0]
         flow = self._register_flow(size, path, weight=weight, cap=cap,
                                    label=label)
         if flow in self._flows:
@@ -471,8 +494,11 @@ class FlowNetwork:
         allocator (per-arrival reallocation is quadratic in the burst).
         Note the event sequence therefore differs from a start-one-at-a-
         time loop (one reallocation, one observer pass); within a run the
-        physics are exact as always.
+        physics are exact as always.  A vectorized network admits the
+        batch as one cohort (:meth:`_start_cohort`).
         """
+        if self._vec is not None:
+            return self._start_cohort(_request(**req) for req in requests)
         flows = [self._register_flow(**req) for req in requests]
         if any(f in self._flows for f in flows):
             self._reallocate()
@@ -974,7 +1000,7 @@ class FlowNetwork:
         f.finish_time = now
         if self.perf is not None:
             self.perf.bump("flow_completions")
-        f._outcome = f
+        f._outcome = _FINISHED
         ev = f._done
         if ev is not None and not ev.triggered:
             ev.succeed(f)

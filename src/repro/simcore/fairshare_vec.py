@@ -33,13 +33,25 @@ ulp-bounded otherwise (multi-link residual subtraction is batched here
 but sequential in the scalar loop, so the last bits of a shared residual
 can differ).
 
+Flows are array rows with light handles.  A vectorized network creates
+:class:`VecFlow` handles, whose ``rate`` is read from the state's ``rates``
+row while the flow has one (and falls back to the handle's stored value,
+always ``0.0`` here, once the row is dropped), so a refill never copies
+rates back onto Python objects.  A ``start_flows`` cohort is admitted in
+one pass (:meth:`VecEngine.admit` resolves each distinct path once) and
+queued as pending rows in ``_seq`` order; completions are batched
+(:meth:`VecEngine._complete` kills a state's finished rows with two array
+writes and does only the Python bookkeeping per handle).  Counters are
+tallied in the engine and flushed into the ``PerfCounters`` once per
+reallocation or wake, not once per flow.
+
 Component merge/split are array concatenation/partition with index
 remapping: a rebuild gathers ``remaining`` from each flow's previous
 state, marks the moved rows dead in place (a split's far side keeps
 completing out of its old arrays — rates there are still valid precisely
 because that side was *not* refilled), and installs the fresh state as
-the component's ``vec``.  A newly started flow whose links all live in
-one current state queues for an in-place array append (no repack of the
+the component's ``vec``.  Newly started flows whose links all live in
+one current state queue for an in-place array append (no repack of the
 existing rows); other membership changes — resumes included, which
 re-enter mid-array in ``_seq`` order — mark the state stale, forcing the
 next refill through the BFS.  Completions, pauses, cancels and capacity
@@ -51,20 +63,72 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from itertools import count
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 import numpy as np
 
-from .fairshare import _EPS_BYTES
+from .errors import SimulationError
+from .fairshare import _EPS_BYTES, _FINISHED, _UNFINISHED, FluidFlow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .fairshare import FluidFlow, FluidLink, FlowNetwork, _Component
+    from .fairshare import FluidLink, FlowNetwork, _Component
 
-__all__ = ["VecEngine", "VecState"]
+__all__ = ["VecEngine", "VecFlow", "VecState"]
 
 #: Wake-index compaction trigger (mirrors the scalar pool's policy).
 _COMPACT_MIN = 64
+
+_stored_rate = FluidFlow.__dict__["rate"]  # the slot FluidFlow stores into
+
+
+class VecFlow(FluidFlow):
+    """Handle of one flow on a vectorized network.
+
+    The flow's rate lives only in its state's ``rates`` row: reading
+    ``rate`` while the flow has a row returns that entry, so a refill
+    writes no Python object.  Without a row (pending, paused, finished or
+    cancelled) it returns the stored value, which on a vectorized network
+    is only ever assigned ``0.0``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim, size: float, path: tuple, weight: float,
+                 cap: Optional[float], label: str, now: float,
+                 seq: int) -> None:
+        # FluidFlow.__init__'s fields, set once (no property round trip).
+        self.size = float(size)
+        self.remaining = float(size)
+        self.weight = float(weight)
+        self.cap = cap
+        self.path = path
+        self._sim = sim
+        self._done = None
+        self._outcome = _UNFINISHED
+        self.paused = False
+        self.start_time = now
+        self.finish_time = math.nan
+        _stored_rate.__set__(self, 0.0)
+        self.label = label
+        self._seq = seq
+        self._synced = now
+        self._gen = 0
+        self._comp = None
+        self._vec = None
+        self._vidx = -1
+
+    @property
+    def rate(self) -> float:
+        st = self._vec
+        if st is None:
+            return _stored_rate.__get__(self)
+        return float(st.rates[self._vidx])
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        _stored_rate.__set__(self, value)
 
 
 class VecState:
@@ -91,7 +155,7 @@ class VecState:
         self.retired = False
         self.wake_gen = 0
         self.next_wake = math.inf
-        self.pending: List["FluidFlow"] = []
+        self.pending: List[VecFlow] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "stale " if self.stale else ""
@@ -106,6 +170,9 @@ class VecEngine:
     heap of ``(next_wake, state_seq, wake_gen, state)`` entries with lazy
     generation-based invalidation, exactly the scalar pool's scheme but
     keyed by states so a split's leftover arrays keep their own wakes).
+    Counters are tallied in ``_tally`` and flushed into the network's
+    ``PerfCounters`` by :meth:`_flush`, once per reallocation, wake or
+    admitted cohort.
     """
 
     def __init__(self, net: "FlowNetwork") -> None:
@@ -113,38 +180,111 @@ class VecEngine:
         self._index: List[tuple] = []
         self._seq = count()
         self.nstates = 0
+        self._tally: Counter = Counter()
 
-    # -- event hooks (O(1) each; called from FlowNetwork mutators) ----------
-    def touch(self, links, flow: Optional["FluidFlow"] = None) -> None:
-        """A membership change hit these links.
+    def _flush(self) -> None:
+        """Move the tallied counts into the network's counters (one call)."""
+        tally = self._tally
+        if tally:
+            if self.net.perf is not None:
+                self.net.perf.merge(tally)
+            tally.clear()
 
-        When the change is one added flow whose links all live in a single
-        current (non-stale) state, the flow is queued on that state's
-        ``pending`` list and materialized by array concatenation at the
-        next refill — the common steady-state arrival needs no BFS and no
-        repack of the existing rows.  Any other shape (links spanning
-        several states, a link the state has never seen, no flow context)
-        marks the involved states stale, forcing the next refill through
-        the BFS rebuild.
+    # -- event hooks (called from FlowNetwork mutators) ---------------------
+    def admit(self, requests, now: float):
+        """Admit ``(size, path, weight, cap, label)`` requests as one cohort.
+
+        Returns ``(handles, nlive)``: a handle per request, in order, and
+        how many were registered (zero-byte flows complete at once and are
+        not).  Every request is checked as ``FlowNetwork._register_flow``
+        checks it; an invalid one rejects the whole cohort before anything
+        is registered.  ``requests`` is consumed as it comes and handles
+        with equal paths share one path tuple, so each flow leaves one new
+        object for the garbage collector to track.  Link ownership is
+        checked once per distinct path; the target state is resolved and
+        the links marked dirty once per distinct path of a live flow, in
+        first-seen order (the dirty order a per-flow loop produces).  When
+        all of a path's links live in one current (non-stale) state, its
+        flows queue on that state's ``pending`` list one by one in ``_seq``
+        order, so interleaved paths keep the scan order, and the next
+        refill appends them as rows (no BFS, no repack).  Any other shape
+        marks the involved states stale, forcing a BFS rebuild.
         """
-        if flow is not None:
-            target: Optional[VecState] = None
-            for link in links:
-                comp = link._comp
-                st = (comp.vec
-                      if comp is not None and comp.alive else None)
-                if (st is None or st.retired or st.stale
-                        or link not in st.link_rows):
-                    target = None
-                    break
-                if target is None:
-                    target = st
-                elif st is not target:
-                    target = None
-                    break
-            if target is not None:
-                target.pending.append(flow)
-                return
+        net = self.net
+        sim = net.sim
+        seq = net._seq
+        flows: List[VecFlow] = []
+        shared: Dict[tuple, tuple] = {}
+        for size, path, weight, cap, label in requests:
+            if size < 0:
+                raise SimulationError(f"flow size must be >= 0, got {size}")
+            if weight <= 0:
+                raise SimulationError(
+                    f"flow weight must be positive, got {weight}")
+            if cap is not None and cap <= 0:
+                raise SimulationError(f"flow cap must be positive, got {cap}")
+            path = tuple(path)
+            first = shared.setdefault(path, path)
+            if first is path:
+                for link in path:
+                    if link.network is None:
+                        link.network = net
+                    elif link.network is not net:
+                        raise SimulationError(
+                            f"{link!r} belongs to a different network")
+            flows.append(
+                VecFlow(sim, size, first, weight, cap, label, now, next(seq)))
+        registry = net._flows
+        # path -> its target state, or False: resolved at its first live flow.
+        targets: Dict[tuple, object] = {}
+        nlive = 0
+        for f in flows:
+            if f.size <= _EPS_BYTES:
+                f.remaining = 0.0
+                f.finish_time = now
+                f._outcome = _FINISHED
+                continue
+            nlive += 1
+            registry[f] = None
+            path = f.path
+            for link in path:
+                link._active[f] = None
+            st = targets.get(path)
+            if st is None:
+                st = targets[path] = self._target(path) or False
+                net._mark_dirty(path)
+            if st and not st.stale:
+                st.pending.append(f)
+        tally = self._tally
+        tally["flow_starts"] += len(flows)
+        if nlive < len(flows):
+            tally["flow_completions"] += len(flows) - nlive
+        self._flush()
+        return flows, nlive
+
+    def _target(self, links) -> Optional[VecState]:
+        """The one current state owning every link, else None (and the
+        involved states go stale)."""
+        target: Optional[VecState] = None
+        for link in links:
+            comp = link._comp
+            st = comp.vec if comp is not None and comp.alive else None
+            if (st is None or st.retired or st.stale
+                    or link not in st.link_rows):
+                target = None
+                break
+            if target is None:
+                target = st
+            elif st is not target:
+                target = None
+                break
+        if target is None:
+            self.touch(links)
+        return target
+
+    def touch(self, links) -> None:
+        """A membership change hit these links: the states owning them go
+        stale, so the next refill rebuilds them through the BFS."""
         for link in links:
             comp = link._comp
             if comp is not None:
@@ -163,7 +303,7 @@ class VecEngine:
                 if row is not None:
                     st.capacities[row] = link.capacity
 
-    def drop(self, f: "FluidFlow") -> None:
+    def drop(self, f: VecFlow) -> None:
         """Detach a finished/paused/cancelled flow: its row becomes a hole."""
         st = f._vec
         if st is None:
@@ -195,7 +335,7 @@ class VecEngine:
             self._buf = buf
         return buf[:st.n]
 
-    def sync_flow(self, f: "FluidFlow", now: float) -> None:
+    def sync_flow(self, f: VecFlow, now: float) -> None:
         """Scalar `_sync_flow` delegate for one array-managed flow."""
         st = f._vec
         self._sync_state(st, now)
@@ -251,6 +391,7 @@ class VecEngine:
                 consumed |= links
                 new_st = self._rebuild(flows, links, now)
                 done.add(id(new_st))
+        self._flush()
 
     def _append(self, st: VecState, now: float) -> None:
         """Materialize the state's pending arrivals as appended rows.
@@ -274,21 +415,16 @@ class VecEngine:
         self._sync_state(st, now)
         n0 = st.n
         m = len(pend)
-        weights = np.empty(m)
-        caps = np.full(m, math.inf)
-        remaining = np.empty(m)
+        inf = math.inf
+        weights = [f.weight for f in pend]
+        caps = [inf if f.cap is None else f.cap for f in pend]
+        remaining = [f.remaining for f in pend]
         entry_flow: List[int] = []
         entry_link: List[int] = []
         link_rows = st.link_rows
-        for j, f in enumerate(pend):
-            weights[j] = f.weight
-            if f.cap is not None:
-                caps[j] = f.cap
-            remaining[j] = f.remaining
-            i = n0 + j
+        for i, f in enumerate(pend, n0):
             f._vec = st
             f._vidx = i
-            f._synced = now
             for link in f.path:
                 entry_flow.append(i)
                 entry_link.append(link_rows[link])
@@ -313,11 +449,11 @@ class VecEngine:
         st.lk_flows = ef[order]
         counts = np.bincount(el, minlength=len(st.links))
         st.lk_indptr = np.concatenate(([0], np.cumsum(counts)))
-        if self.net.perf is not None:
-            self.net.perf.bump("vec_appends")
-            self.net.perf.bump("vec_append_flows", m)
+        tally = self._tally
+        tally["vec_appends"] += 1
+        tally["vec_append_flows"] += m
 
-    def _rebuild(self, flows: List["FluidFlow"], links: Set["FluidLink"],
+    def _rebuild(self, flows: List[VecFlow], links: Set["FluidLink"],
                  now: float) -> VecState:
         """Merge/split: gather rows from the previous states into a fresh
         contiguous state for this (BFS-derived) membership."""
@@ -328,7 +464,6 @@ class VecEngine:
         weights = np.empty(n)
         caps = np.full(n, math.inf)
         remaining = np.empty(n)
-        rates = np.zeros(n)
         entry_flow: List[int] = []
         entry_link: List[int] = []
         link_rows: Dict["FluidLink", int] = {}
@@ -339,7 +474,6 @@ class VecEngine:
                 # First touch syncs the whole donor state; repeats no-op.
                 self._sync_state(old, now)
                 remaining[i] = old.remaining[f._vidx]
-                rates[i] = old.rates[f._vidx]
                 # The moved row dies in place: the donor keeps serving only
                 # its genuine remainder (whose rates stay valid because that
                 # side is exactly the part not being refilled).
@@ -347,7 +481,6 @@ class VecEngine:
                 old.rates[f._vidx] = 0.0
             else:
                 remaining[i] = f.remaining
-                rates[i] = f.rate
             weights[i] = f.weight
             if f.cap is not None:
                 caps[i] = f.cap
@@ -368,7 +501,7 @@ class VecEngine:
         with np.errstate(invalid="ignore"):
             st.cap_shares = caps / weights
         st.remaining = remaining
-        st.rates = rates
+        st.rates = np.zeros(n)  # every alive row is priced by the refill
         st.alive = np.ones(n, dtype=bool)
         st.horizons = np.full(n, math.inf)
         st.synced = now
@@ -390,38 +523,33 @@ class VecEngine:
             f._vidx = i
         comp.vec = st
         self.nstates += 1
-        if net.perf is not None:
-            net.perf.bump("vec_rebuilds")
-            net.perf.bump("vec_rebuild_flows", n)
+        tally = self._tally
+        tally["vec_rebuilds"] += 1
+        tally["vec_rebuild_flows"] += n
         self._refill(comp, st, now)
         return st
 
     def _refill(self, comp: "_Component", st: VecState, now: float) -> None:
         """Sync, complete, re-price and re-arm one state in place."""
-        net = self.net
-        perf = net.perf
         self._sync_state(st, now)
         alive = st.alive
-        finished = alive & (st.remaining <= _EPS_BYTES)
-        if finished.any():
+        rows = np.flatnonzero(alive & (st.remaining <= _EPS_BYTES))
+        if rows.size:
             flows = st.flows
-            for i in np.flatnonzero(finished).tolist():
-                net._finish_flow(flows[i], now)  # drop() punches the hole
-        if perf is not None:
-            perf.bump("components_refilled")
-            perf.bump("vec_refills")
+            self._complete(((st, rows),), [flows[i] for i in rows.tolist()],
+                           now)
+        tally = self._tally
+        tally["components_refilled"] += 1
+        tally["vec_refills"] += 1
         nalive = int(alive.sum())
         if nalive == 0:
             self._retire(comp, st)
             return
-        if perf is not None:
-            perf.bump("rate_recomputations")
-            perf.bump("flows_touched", nalive)
-        prev = st.rates.copy()
         steps, cap_batches = self._fill(st)
-        if perf is not None:
-            perf.bump("vec_fill_steps", steps)
-            perf.bump("vec_cap_batches", cap_batches)
+        tally["rate_recomputations"] += 1
+        tally["flows_touched"] += nalive
+        tally["vec_fill_steps"] += steps
+        tally["vec_cap_batches"] += cap_batches
         rates = st.rates
         with np.errstate(divide="ignore", invalid="ignore"):
             st.horizons = np.where(alive & (rates > 0),
@@ -431,15 +559,32 @@ class VecEngine:
         st.wake_gen += 1
         if math.isfinite(nw):
             heapq.heappush(self._index, (nw, st._seq, st.wake_gen, st))
-        # Rates live in the arrays, but link_rate()/observers/monitors read
-        # flow objects — write back only the rows that actually moved.
-        changed = np.flatnonzero(rates != prev)
-        if changed.size:
-            flows = st.flows
-            for i, r in zip(changed.tolist(), rates[changed].tolist()):
-                flows[i].rate = r
-            if perf is not None:
-                perf.bump("vec_rate_writebacks", changed.size)
+
+    def _complete(self, parts, done: List[VecFlow], now: float) -> None:
+        """Finish flows in one step.
+
+        ``parts`` lists ``(state, rows)`` pairs whose rows die with two
+        array writes each; ``done`` holds the same flows' handles in
+        completion order, and gets only the bookkeeping Python requires:
+        leaving the registry and the link indexes, the finish time and
+        outcome, and the ``done`` event when one was ever created.
+        """
+        for st, rows in parts:
+            st.alive[rows] = False
+            st.rates[rows] = 0.0
+        live = self.net._flows
+        for f in done:
+            del live[f]
+            for link in f.path:
+                link._active.pop(f, None)
+            f._vec = None
+            f.remaining = 0.0
+            f.finish_time = now
+            f._outcome = _FINISHED
+            ev = f._done
+            if ev is not None and not ev.triggered:
+                ev.succeed(f)
+        self._tally["flow_completions"] += len(done)
 
     def _fill(self, st: VecState):
         """Vectorized progressive filling over the state's alive rows.
@@ -530,39 +675,53 @@ class VecEngine:
     def on_wake(self, now: float) -> bool:
         """Collect and handle every due flow across due states.
 
-        Due flows are sorted globally by ``(horizon, flow_seq)`` — the
-        scalar pool's exact completion order — then finished (or marked
-        dirty for the float-residue re-price).  Returns True when any flow
-        was due (the caller reallocates), False otherwise.
+        Due flows are ordered globally by ``(horizon, flow_seq)`` — the
+        scalar pool's exact completion order — and their links marked
+        dirty in that order; the finished ones complete as one batch (the
+        rest are float residue the refill re-prices and re-arms).  Returns
+        True when any flow was due (the caller reallocates), False
+        otherwise.
         """
-        net = self.net
-        perf = net.perf
         index = self._index
-        due: List[tuple] = []
+        tally = self._tally
+        parts = []
         touched: List[VecState] = []
         while index and index[0][0] <= now:
             _, _, gen, st = heapq.heappop(index)
             if gen != st.wake_gen:
-                if perf is not None:
-                    perf.bump("wake_stale_pops")
+                tally["wake_stale_pops"] += 1
                 continue
             touched.append(st)
             self._sync_state(st, now)
-            mask = st.alive & (st.horizons <= now)
-            flows = st.flows
-            h = st.horizons
-            for i in np.flatnonzero(mask).tolist():
-                f = flows[i]
-                due.append((h[i], f._seq, f))
-        due.sort()
-        for _, _, f in due:
-            net._mark_dirty(f.path)
-            st = f._vec
-            if st is None:
-                continue  # finished by an earlier due flow's side effects
-            if st.remaining[f._vidx] <= _EPS_BYTES:
-                net._finish_flow(f, now)
-            # else: float residue — the refill re-prices and re-arms it.
+            rows = np.flatnonzero(st.alive & (st.horizons <= now))
+            if rows.size:
+                parts.append((st, rows))
+        if parts:
+            # Rows of one state are in _seq order already, so a stable sort
+            # by horizon is the (horizon, seq) order; across states the
+            # handles' own sequence numbers break horizon ties.
+            due = []
+            for st, rows in parts:
+                due += map(st.flows.__getitem__, rows.tolist())
+            horizons = np.concatenate([st.horizons[rows] for st, rows in parts])
+            fins = [st.remaining[rows] <= _EPS_BYTES for st, rows in parts]
+            finished = np.concatenate(fins).tolist()
+            if len(parts) == 1:
+                order = np.argsort(horizons, kind="stable").tolist()
+            else:
+                seqs = np.array([f._seq for f in due])
+                order = np.lexsort((seqs, horizons)).tolist()
+            dirty = self.net._dirty
+            done = []
+            for k in order:
+                f = due[k]
+                for link in f.path:
+                    dirty[link] = None
+                if finished[k]:
+                    done.append(f)
+            if done:
+                self._complete([(st, rows[fin]) for (st, rows), fin
+                                in zip(parts, fins)], done, now)
         for st in touched:
             st.wake_gen += 1
             if st.alive.any():
@@ -572,7 +731,8 @@ class VecEngine:
                     heapq.heappush(index, (nw, st._seq, st.wake_gen, st))
             else:
                 self._retire(st.comp, st)
-        return bool(due)
+        self._flush()
+        return bool(parts)
 
     def _retire(self, comp: Optional["_Component"], st: VecState) -> None:
         """Drop a drained state (and its component when it owned it)."""

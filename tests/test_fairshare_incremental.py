@@ -162,15 +162,18 @@ def test_cancel_flow_without_exc_releases_waiters(incremental):
 
 
 def test_cancel_flow_none_value_distinguishes_from_completion():
-    sim = Simulator()
-    net = FlowNetwork(sim)
-    link = FluidLink(100.0)
-    cancelled = net.start_flow(500.0, [link], label="cancelled")
-    completed = net.start_flow(500.0, [link], label="completed")
-    net.cancel_flow(cancelled)
-    sim.run()
-    assert cancelled.done.value is None
-    assert completed.done.value is completed
+    for vectorized in (False, True):
+        sim = Simulator()
+        net = FlowNetwork(sim, vectorized=vectorized)
+        link = FluidLink(100.0)
+        cancelled = net.start_flow(500.0, [link], label="cancelled")
+        completed = net.start_flow(500.0, [link], label="completed")
+        empty = net.start_flow(0.0, [link], label="empty")
+        net.cancel_flow(cancelled)
+        sim.run()
+        assert cancelled.done.value is None
+        assert completed.done.value is completed
+        assert empty.done.value is empty
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ ulp-bounded otherwise (numpy reductions batch the weight-sum and cap
 residuals the scalar loop accumulates one flow at a time).
 
 These tests script randomized workloads — random link graphs, weights,
-caps, pauses, cancellations and capacity changes — plus targeted
-merge/split choreography (bridge flows joining components, cancellations
-splitting them back apart), and run the *same* script through both
-allocators, comparing the completion order exactly and the numeric state
-within 1e-9.
+caps, pauses, cancellations and capacity changes, plus same-instant
+``start_flows`` cohorts whose paths interleave through one live component
+— and targeted merge/split choreography (bridge flows joining components,
+cancellations splitting them back apart), and run the *same* script
+through both allocators, comparing the completion order exactly and the
+numeric state, and every link's rate after every reallocation, within
+1e-9.
 """
 
 import math
@@ -32,8 +34,18 @@ HORIZON = 800.0
 # ---------------------------------------------------------------------------
 
 def _random_script(seed, nlinks=8, nflows=40, nevents=30,
-                   multilink=True, caps=True):
-    """A reproducible event script: flow starts plus mid-flight mutations."""
+                   multilink=True, caps=True, ncohorts=3, cohort_size=8):
+    """A reproducible event script: flow starts plus mid-flight mutations.
+
+    After the individually started flows come ``ncohorts`` same-instant
+    cohorts of ``cohort_size`` flows, started with one ``start_flows``
+    call each.  Their paths are drawn from a hub of links that a
+    long-lived anchor flow keeps in one live component, so on the
+    vectorized kernel the cohort queues onto one state's pending rows with
+    different paths interleaved in ``_seq`` order.  Cohort sizes and
+    weights come from two values each, so flows sharing a bottleneck tie
+    on their completion horizon and only ``_seq`` orders them.
+    """
     rng = np.random.default_rng(seed)
     capacities = rng.uniform(50.0, 500.0, size=nlinks)
     starts = []
@@ -61,24 +73,60 @@ def _random_script(seed, nlinks=8, nflows=40, nevents=30,
             "link": int(rng.integers(0, nlinks)),
             "capacity": float(rng.uniform(30.0, 600.0)),
         })
+    if ncohorts:
+        hub = sorted(rng.choice(nlinks, size=3 if multilink else 1,
+                                replace=False).tolist())
+        starts.append({"time": 0.0, "size": 1e7, "path": hub,
+                       "weight": 1.0, "cap": None})
+        for c in range(ncohorts):
+            when = float(rng.uniform(5.0, 40.0))
+            for _ in range(cohort_size):
+                npath = int(rng.integers(1, len(hub) + 1))
+                starts.append({
+                    "time": when,
+                    "size": float(rng.choice([4000.0, 8000.0])),
+                    "path": sorted(rng.choice(hub, size=npath,
+                                              replace=False).tolist()),
+                    "weight": float(rng.choice([1.0, 2.0])),
+                    "cap": (float(rng.uniform(20.0, 200.0))
+                            if caps and rng.random() < 0.3 else None),
+                    "cohort": c,
+                })
     return capacities, starts, events
 
 
-def _run_script(vectorized, capacities, starts, events):
-    """Execute one script; returns (completion order, per-flow state)."""
+def _run_script(vectorized, capacities, starts, events, perf=None):
+    """Execute one script; returns (completion order, per-flow state,
+    every link's rate after each reallocation)."""
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=True, vectorized=vectorized)
+    net = FlowNetwork(sim, incremental=True, vectorized=vectorized,
+                      perf=perf)
     links = [FluidLink(float(c), f"l{j}") for j, c in enumerate(capacities)]
     flows = {}
     order = []
+    link_rates = []
+    net.add_observer(lambda now, _active: link_rates.append(
+        (now, [net.link_rate(link) for link in links])))
+
+    def request(idx, spec):
+        return {"size": spec["size"],
+                "path": [links[j] for j in spec["path"]],
+                "weight": spec["weight"], "cap": spec["cap"],
+                "label": f"f{idx}"}
+
+    def track(idx, f):
+        flows[idx] = f
+        f.done.callbacks.append(lambda ev, i=idx: order.append(i))
 
     def starter(idx, spec):
         yield sim.timeout(spec["time"])
-        f = net.start_flow(
-            spec["size"], [links[j] for j in spec["path"]],
-            weight=spec["weight"], cap=spec["cap"], label=f"f{idx}")
-        flows[idx] = f
-        f.done.callbacks.append(lambda ev, i=idx: order.append(i))
+        track(idx, net.start_flow(**request(idx, spec)))
+
+    def cohort_starter(members):
+        yield sim.timeout(starts[members[0]]["time"])
+        batch = net.start_flows(request(i, starts[i]) for i in members)
+        for idx, f in zip(members, batch):
+            track(idx, f)
 
     def mutator(ev):
         yield sim.timeout(ev["time"])
@@ -92,8 +140,14 @@ def _run_script(vectorized, capacities, starts, events):
         elif ev["kind"] == "capacity":
             links[ev["link"]].set_capacity(ev["capacity"])
 
+    cohorts = {}
     for idx, spec in enumerate(starts):
-        sim.process(starter(idx, spec))
+        if spec.get("cohort") is None:
+            sim.process(starter(idx, spec))
+        else:
+            cohorts.setdefault(spec["cohort"], []).append(idx)
+    for members in cohorts.values():
+        sim.process(cohort_starter(members))
     for ev in events:
         sim.process(mutator(ev))
     sim.run(until=HORIZON)
@@ -103,7 +157,15 @@ def _run_script(vectorized, capacities, starts, events):
         f = flows.get(idx)
         state[idx] = (None if f is None
                       else (f.finish_time, f.remaining, f.rate))
-    return order, state
+    return order, state, link_rates
+
+
+def _assert_link_rates_close(rates_vec, rates_inc, rel=1e-9):
+    """Same reallocation instants, every link's rate within ``rel``."""
+    assert len(rates_vec) == len(rates_inc)
+    for (t_vec, vec), (t_inc, inc) in zip(rates_vec, rates_inc):
+        assert t_vec == pytest.approx(t_inc, rel=rel)
+        assert vec == pytest.approx(inc, rel=rel, abs=1e-9), t_vec
 
 
 def _assert_state_close(state_vec, state_inc, rel=1e-9):
@@ -125,12 +187,17 @@ def _assert_state_close(state_vec, state_inc, rel=1e-9):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_vectorized_matches_incremental_on_random_topologies(seed):
-    """Same script, both kernels: identical completion order, close state."""
+    """Same script, both kernels: identical completion order, close state
+    and link rates — including cohorts whose interleaved multi-link paths
+    queue onto one live state's pending rows."""
     script = _random_script(seed)
-    order_vec, state_vec = _run_script(True, *script)
-    order_inc, state_inc = _run_script(False, *script)
+    perf = PerfCounters()
+    order_vec, state_vec, rates_vec = _run_script(True, *script, perf=perf)
+    order_inc, state_inc, rates_inc = _run_script(False, *script)
     assert order_vec == order_inc
     _assert_state_close(state_vec, state_inc)
+    _assert_link_rates_close(rates_vec, rates_inc)
+    assert perf.get("vec_append_flows") > 0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -138,9 +205,10 @@ def test_vectorized_bit_exact_single_link_no_caps(seed):
     """Single-link components without caps have a deterministic scan order,
     so the vectorized fill is **bit-identical** — not merely close."""
     script = _random_script(seed, multilink=False, caps=False)
-    order_vec, state_vec = _run_script(True, *script)
-    order_inc, state_inc = _run_script(False, *script)
+    order_vec, state_vec, rates_vec = _run_script(True, *script)
+    order_inc, state_inc, rates_inc = _run_script(False, *script)
     assert order_vec == order_inc
+    assert rates_vec == rates_inc
     assert state_vec.keys() == state_inc.keys()
     for idx in state_vec:
         assert state_vec[idx] == state_inc[idx], (
@@ -198,10 +266,11 @@ def test_merge_split_fuzzer_ordering_identical(seed):
     """Components merged by bridge flows and split by their cancellation
     complete in the same order under both kernels."""
     script = _merge_split_script(seed)
-    order_vec, state_vec = _run_script(True, *script)
-    order_inc, state_inc = _run_script(False, *script)
+    order_vec, state_vec, rates_vec = _run_script(True, *script)
+    order_inc, state_inc, rates_inc = _run_script(False, *script)
     assert order_vec == order_inc
     _assert_state_close(state_vec, state_inc)
+    _assert_link_rates_close(rates_vec, rates_inc)
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
@@ -336,7 +405,8 @@ def test_start_flows_zero_size_completes_immediately(vectorized):
 
 
 def test_vectorized_perf_counters_present():
-    """The vec_* instrumentation fires under a vectorized run."""
+    """The vec_* instrumentation fires under a vectorized run; rates are
+    read from the arrays, so no writeback counter exists."""
     sim = Simulator()
     perf = PerfCounters()
     net = FlowNetwork(sim, incremental=True, vectorized=True, perf=perf)
@@ -354,6 +424,67 @@ def test_vectorized_perf_counters_present():
     stats = perf.as_dict()
     assert stats["vec_refills"] > 0
     assert stats["vec_fill_steps"] > 0
-    assert stats["vec_rate_writebacks"] > 0
+    assert "vec_rate_writebacks" not in stats
+    assert stats["flow_starts"] == stats["flow_completions"] == 11
     assert stats["vec_appends"] >= 1
     assert stats["vec_append_flows"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# instrumentation cost (counter updates per run, not per flow)
+# ---------------------------------------------------------------------------
+
+class _CountingPerf(PerfCounters):
+    """PerfCounters that counts its own update calls (bump and merge)."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def bump(self, name, n=1):
+        self.calls += 1
+        super().bump(name, n)
+
+    def merge(self, other):
+        self.calls += 1
+        super().merge(other)
+
+
+def _flood(cohort, waves=16, nlinks=8, weights=(1.0, 2.0, 4.0, 8.0)):
+    """Flow-flood shape: per wave, one cohort per link started together;
+    each cohort's weight ladder completes at one instant per weight."""
+    perf = _CountingPerf()
+    sim = Simulator(perf=perf)
+    net = FlowNetwork(sim, incremental=True, vectorized=True, perf=perf)
+    links = [FluidLink(1e9, f"link{j}") for j in range(nlinks)]
+    size = 1.5e9 / cohort
+
+    def wave(w):
+        yield sim.timeout(float(w))
+        net.start_flows({"size": size, "path": [links[j]],
+                         "weight": weights[i % len(weights)]}
+                        for j in range(nlinks) for i in range(cohort))
+
+    for w in range(waves):
+        sim.process(wave(w))
+    sim.run()
+    assert not net.active_flows
+    return perf
+
+
+def test_vectorized_counter_updates_do_not_scale_with_flows():
+    """Counter updates are flushed per refill batch and per wake: the same
+    number at 100 and 1,000 flows per cohort, a small multiple of
+    ``vec_refills + wakes``, while the totals still count every flow."""
+    calls = {}
+    for cohort in (100, 1000):
+        perf = _flood(cohort)
+        nflows = 16 * 8 * cohort
+        assert perf.get("flow_starts") == nflows
+        assert perf.get("flow_completions") == nflows
+        events = perf.get("vec_refills") + perf.get("wakes")
+        assert perf.calls <= 4 * events, (cohort, perf.calls, events)
+        calls[cohort] = perf.calls
+    assert calls[100] == calls[1000]

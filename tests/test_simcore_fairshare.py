@@ -201,6 +201,14 @@ def test_invalid_parameters_rejected():
         net.start_flow(1.0, [link], cap=0.0)
     with pytest.raises(SimulationError):
         FluidLink(0.0)
+    # A vectorized cohort is checked flow by flow like start_flow, and an
+    # invalid request rejects the whole cohort before anything registers.
+    vnet = FlowNetwork(sim, vectorized=True)
+    ok = {"size": 1.0, "path": [FluidLink(100.0)]}
+    for bad in ({"size": -1.0}, {"weight": 0.0}, {"cap": 0.0}):
+        with pytest.raises(SimulationError):
+            vnet.start_flows([ok, {**ok, **bad}])
+        assert not vnet.active_flows
     # One scalar kernel: the removed regime switches fail loudly.
     for removed in ("fill_cache", "heap_pool"):
         with pytest.raises(TypeError):
@@ -222,6 +230,8 @@ def test_links_cannot_span_networks():
     net1.start_flow(1.0, [link])
     with pytest.raises(SimulationError):
         net2.start_flow(1.0, [link])
+    with pytest.raises(SimulationError):
+        FlowNetwork(sim, vectorized=True).start_flow(1.0, [link])
 
 
 # ---------------------------------------------------------------------------
