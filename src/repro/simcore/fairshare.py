@@ -166,6 +166,42 @@ _CACHE_PROBE_PERIOD = 32
 _CACHE_SLOTS = 4
 
 
+def _check_flow(size: float, weight: float, cap: Optional[float]) -> None:
+    """Reject an invalid flow request (both admission paths call this)."""
+    if size < 0:
+        raise SimulationError(f"flow size must be >= 0, got {size}")
+    if weight <= 0:
+        raise SimulationError(f"flow weight must be positive, got {weight}")
+    if cap is not None and cap <= 0:
+        raise SimulationError(f"flow cap must be positive, got {cap}")
+
+
+def _claim_links(net: "FlowNetwork", path: Iterable["FluidLink"]) -> None:
+    """Bind unowned links to ``net``; reject links owned by another one."""
+    for link in path:
+        if link.network is None:
+            link.network = net
+        elif link.network is not net:
+            raise SimulationError(f"{link!r} belongs to a different network")
+
+
+def _settle(registry: Dict["FluidFlow", None], flows: Iterable["FluidFlow"],
+            now: float) -> None:
+    """Per-handle completion bookkeeping shared by both kernels: leave the
+    registry and the link indexes, record the finish time and outcome, and
+    fire the ``done`` event when one was ever created."""
+    for f in flows:
+        del registry[f]
+        for link in f.path:
+            link._active.pop(f, None)
+        f.remaining = 0.0
+        f.finish_time = now
+        f._outcome = _FINISHED
+        ev = f._done
+        if ev is not None and not ev.triggered:
+            ev.succeed(f)
+
+
 def _request(size: float, path: Iterable["FluidLink"], weight: float = 1.0,
              cap: Optional[float] = None, label: str = "flow") -> tuple:
     """One ``start_flows`` request dict as a tuple (start_flow's defaults)."""
@@ -426,18 +462,9 @@ class FlowNetwork:
         Zero-byte flows complete immediately and are *not* registered;
         callers detect that via ``flow not in self._flows``.
         """
-        if size < 0:
-            raise SimulationError(f"flow size must be >= 0, got {size}")
-        if weight <= 0:
-            raise SimulationError(f"flow weight must be positive, got {weight}")
-        if cap is not None and cap <= 0:
-            raise SimulationError(f"flow cap must be positive, got {cap}")
+        _check_flow(size, weight, cap)
         path = list(path)
-        for link in path:
-            if link.network is None:
-                link.network = self
-            elif link.network is not self:
-                raise SimulationError(f"{link!r} belongs to a different network")
+        _claim_links(self, path)
         flow = FluidFlow(self.sim, size, path, weight, cap, label)
         flow.start_time = self.sim.now
         flow._synced = self.sim.now
@@ -989,21 +1016,13 @@ class FlowNetwork:
         return out
 
     def _finish_flow(self, f: FluidFlow, now: float) -> None:
-        del self._flows[f]
-        for link in f.path:
-            link._active.pop(f, None)
         if self._vec is not None:
             self._vec.drop(f)
         f._gen += 1
-        f.remaining = 0.0
         f.rate = 0.0
-        f.finish_time = now
         if self.perf is not None:
             self.perf.bump("flow_completions")
-        f._outcome = _FINISHED
-        ev = f._done
-        if ev is not None and not ev.triggered:
-            ev.succeed(f)
+        _settle(self._flows, (f,), now)
 
     def _refill_component(self, flows: List[FluidFlow], links: Set[FluidLink],
                           now: float) -> None:

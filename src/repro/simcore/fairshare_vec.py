@@ -69,8 +69,8 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SimulationError
-from .fairshare import _EPS_BYTES, _FINISHED, _UNFINISHED, FluidFlow
+from .fairshare import (_EPS_BYTES, _FINISHED, FluidFlow, _check_flow,
+                        _claim_links, _settle)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fairshare import FluidLink, FlowNetwork, _Component
@@ -98,26 +98,10 @@ class VecFlow(FluidFlow):
     def __init__(self, sim, size: float, path: tuple, weight: float,
                  cap: Optional[float], label: str, now: float,
                  seq: int) -> None:
-        # FluidFlow.__init__'s fields, set once (no property round trip).
-        self.size = float(size)
-        self.remaining = float(size)
-        self.weight = float(weight)
-        self.cap = cap
-        self.path = path
-        self._sim = sim
-        self._done = None
-        self._outcome = _UNFINISHED
-        self.paused = False
+        FluidFlow.__init__(self, sim, size, path, weight, cap, label)
         self.start_time = now
-        self.finish_time = math.nan
-        _stored_rate.__set__(self, 0.0)
-        self.label = label
         self._seq = seq
         self._synced = now
-        self._gen = 0
-        self._comp = None
-        self._vec = None
-        self._vidx = -1
 
     @property
     def rate(self) -> float:
@@ -196,12 +180,12 @@ class VecEngine:
 
         Returns ``(handles, nlive)``: a handle per request, in order, and
         how many were registered (zero-byte flows complete at once and are
-        not).  Every request is checked as ``FlowNetwork._register_flow``
-        checks it; an invalid one rejects the whole cohort before anything
+        not).  Every request passes the checks ``FlowNetwork._register_flow``
+        applies; an invalid one rejects the whole cohort before anything
         is registered.  ``requests`` is consumed as it comes and handles
         with equal paths share one path tuple, so each flow leaves one new
         object for the garbage collector to track.  Link ownership is
-        checked once per distinct path; the target state is resolved and
+        claimed once per distinct path; the target state is resolved and
         the links marked dirty once per distinct path of a live flow, in
         first-seen order (the dirty order a per-flow loop produces).  When
         all of a path's links live in one current (non-stale) state, its
@@ -216,22 +200,11 @@ class VecEngine:
         flows: List[VecFlow] = []
         shared: Dict[tuple, tuple] = {}
         for size, path, weight, cap, label in requests:
-            if size < 0:
-                raise SimulationError(f"flow size must be >= 0, got {size}")
-            if weight <= 0:
-                raise SimulationError(
-                    f"flow weight must be positive, got {weight}")
-            if cap is not None and cap <= 0:
-                raise SimulationError(f"flow cap must be positive, got {cap}")
+            _check_flow(size, weight, cap)
             path = tuple(path)
             first = shared.setdefault(path, path)
             if first is path:
-                for link in path:
-                    if link.network is None:
-                        link.network = net
-                    elif link.network is not net:
-                        raise SimulationError(
-                            f"{link!r} belongs to a different network")
+                _claim_links(net, path)
             flows.append(
                 VecFlow(sim, size, first, weight, cap, label, now, next(seq)))
         registry = net._flows
@@ -572,18 +545,9 @@ class VecEngine:
         for st, rows in parts:
             st.alive[rows] = False
             st.rates[rows] = 0.0
-        live = self.net._flows
         for f in done:
-            del live[f]
-            for link in f.path:
-                link._active.pop(f, None)
             f._vec = None
-            f.remaining = 0.0
-            f.finish_time = now
-            f._outcome = _FINISHED
-            ev = f._done
-            if ev is not None and not ev.triggered:
-                ev.succeed(f)
+        _settle(self.net._flows, done, now)
         self._tally["flow_completions"] += len(done)
 
     def _fill(self, st: VecState):
@@ -697,26 +661,21 @@ class VecEngine:
             if rows.size:
                 parts.append((st, rows))
         if parts:
-            # Rows of one state are in _seq order already, so a stable sort
-            # by horizon is the (horizon, seq) order; across states the
-            # handles' own sequence numbers break horizon ties.
+            # The handles' sequence numbers break horizon ties, within a
+            # state and across states alike.
             due = []
             for st, rows in parts:
                 due += map(st.flows.__getitem__, rows.tolist())
             horizons = np.concatenate([st.horizons[rows] for st, rows in parts])
             fins = [st.remaining[rows] <= _EPS_BYTES for st, rows in parts]
             finished = np.concatenate(fins).tolist()
-            if len(parts) == 1:
-                order = np.argsort(horizons, kind="stable").tolist()
-            else:
-                seqs = np.array([f._seq for f in due])
-                order = np.lexsort((seqs, horizons)).tolist()
-            dirty = self.net._dirty
+            seqs = np.array([f._seq for f in due])
+            order = np.lexsort((seqs, horizons)).tolist()
+            mark_dirty = self.net._mark_dirty
             done = []
             for k in order:
                 f = due[k]
-                for link in f.path:
-                    dirty[link] = None
+                mark_dirty(f.path)
                 if finished[k]:
                     done.append(f)
             if done:
